@@ -67,6 +67,6 @@ from .proofs import (
     res_to_clmm_sequence,
     write_proof,
 )
-from .seqgen import grid_peb_seq_1uip, gtn_seq, peb_seq_1uip
+from .seqgen import gtn_seq, peb_seq_1uip
 
 __version__ = "0.1.0"

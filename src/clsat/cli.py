@@ -29,7 +29,7 @@ from .generators import (
     pebbling_to_cnf,
     write_pebbling_graph,
 )
-from .seqgen import grid_peb_seq_1uip, gtn_seq, peb_seq_1uip
+from .seqgen import gtn_seq, peb_seq_1uip
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -92,8 +92,7 @@ def cmd_gen_seq(args) -> int:
     if args.gtn is not None:
         seq = gtn_seq(args.gtn)
     else:
-        graph = parse_pebbling_graph(_read(args.graph))
-        seq = grid_peb_seq_1uip(graph) if args.algorithm == "grid" else peb_seq_1uip(graph)
+        seq = peb_seq_1uip(parse_pebbling_graph(_read(args.graph)))
     _write(args.output, write_sequence(seq))
     return 0
 
@@ -123,7 +122,6 @@ def cmd_solve(args) -> int:
         learning=args.learning,
         sequence=sequence,
         cl_minus_minus=args.cl_minus_minus,
-        restart_policy="sequence_markers_only",
         conflict_budget=args.conflict_budget,
         decision_budget=args.decision_budget,
         log_proof=bool(args.proof),
@@ -266,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_gtn)
 
     p = sub.add_parser("gen-seq", help="branching sequence from a pebbling graph or GTn size")
-    p.add_argument("--graph", help="pebbling graph file")
-    p.add_argument("--gtn", type=int, help="GTn order instead of a graph")
-    p.add_argument("--algorithm", choices=["general", "grid"], default="general")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="pebbling graph file")
+    source.add_argument("--gtn", type=int, help="GTn order instead of a graph")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_gen_seq)
 

@@ -31,8 +31,6 @@ class TrailState(Protocol):
 
     current_level: int
 
-    def trail_literal(self, var: int) -> int: ...
-
     def reason_literals(self, var: int) -> tuple[int, ...] | None: ...
 
     def var_level(self, var: int) -> int: ...

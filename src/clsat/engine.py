@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 from . import conflict as _ca
 from .conflict import ConflictGraph, Cut, LearnedClauseRecord, TrivialDerivation
-from .formula import CnfFormula, canonical_literals
+from .formula import CnfFormula
 
 __all__ = [
     "RESTART",
@@ -109,7 +109,6 @@ class SolverConfig:
     learning: str = "first_uip"
     sequence: BranchingSequence | None = None
     cl_minus_minus: bool = False
-    restart_policy: str = "sequence_markers_only"  # or "off"
     conflict_budget: int | None = None
     decision_budget: int | None = None
     log_proof: bool = True
@@ -173,7 +172,8 @@ class Solver:
         self.qhead = 0
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
-        self.known: set[tuple[int, ...]] = set()
+        # canonical form of every clause held: input clauses, then learned ones
+        self.known: set[tuple[int, ...]] = formula.clause_set()
         self.stats = SolveStats()
         self.records: list[LearnedClauseRecord] = []
         self.activity = [0.0] * (2 * n + 2)
@@ -192,8 +192,6 @@ class Solver:
     def _validate_config(cfg: SolverConfig) -> None:
         if cfg.learning not in LEARNING_SCHEMES:
             raise ValueError(f"unknown learning scheme {cfg.learning!r}")
-        if cfg.restart_policy not in ("off", "sequence_markers_only"):
-            raise ValueError(f"unknown restart policy {cfg.restart_policy!r}")
         if cfg.cl_minus_minus and cfg.learning == "none":
             raise ValueError("branching on assigned literals requires learning")
         if cfg.sequence is not None and cfg.sequence.has_restarts:
@@ -201,8 +199,6 @@ class Solver:
                 raise ValueError("restart markers require learning")
             if not cfg.cl_minus_minus:
                 raise ValueError("restart markers require the assigned-branch mode")
-            if cfg.restart_policy == "off":
-                raise ValueError("restart markers present but restarts are off")
 
     # ------------------------------------------------------------------ state
     @property
@@ -212,9 +208,6 @@ class Solver:
     def lit_value(self, lit: int) -> int:
         v = self.values[abs(lit)]
         return v if lit > 0 else -v
-
-    def trail_literal(self, var: int) -> int:
-        return var if self.values[var] > 0 else -var
 
     def reason_literals(self, var: int) -> tuple[int, ...] | None:
         ci = self.reasons[var]
@@ -233,7 +226,6 @@ class Solver:
     def _add_clause(self, lits: list[int], init: bool) -> int:
         ci = len(self.clauses)
         self.clauses.append(lits)
-        self.known.add(canonical_literals(lits))
         if len(lits) == 0:
             if self._pending_conflict is None:
                 self._pending_conflict = ci
@@ -436,6 +428,7 @@ class Solver:
             self._bump(ant)
         self._decay_activity()
         backjump_level = self._install_learned(clause, g)
+        self.known.add(clause)
         if self.cfg.log_proof:
             self.records.append(
                 LearnedClauseRecord(
@@ -576,8 +569,6 @@ class Solver:
                 return self._result("SAT")
             kind, lit = self._next_decision()
             if kind == "restart":
-                if cfg.restart_policy == "off":
-                    raise RuntimeError("restart marker with restarts disabled")
                 self.restart()
                 continue
             if cfg.decision_budget is not None and stats.decisions >= cfg.decision_budget:

@@ -255,22 +255,29 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 3 or parts[1] != "peb":
-                raise ValueError(f"line {lineno}: malformed header")
-            count = int(parts[2])
-        elif parts[0] == "n":
-            if "|" not in parts:
-                raise ValueError(f"line {lineno}: node line missing '|'")
-            bar = parts.index("|")
-            nid = int(parts[1])
-            label = tuple(int(t) for t in parts[2:bar])
-            preds = tuple(int(t) for t in parts[bar + 1 :])
-            nodes[nid] = PebNode(nid, label, preds)
-        elif parts[0] == "t":
-            target = int(parts[1])
-        else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+        try:
+            if parts[0] == "p":
+                if len(parts) != 3 or parts[1] != "peb":
+                    raise ValueError("malformed header")
+                count = int(parts[2])
+            elif parts[0] == "n":
+                if "|" not in parts:
+                    raise ValueError("node line missing '|'")
+                bar = parts.index("|")
+                nid = int(parts[1])
+                if nid in nodes:
+                    raise ValueError(f"duplicate node id {nid}")
+                label = tuple(int(t) for t in parts[2:bar])
+                preds = tuple(int(t) for t in parts[bar + 1 :])
+                nodes[nid] = PebNode(nid, label, preds)
+            elif parts[0] == "t":
+                if len(parts) != 2:
+                    raise ValueError("target line needs exactly one node id")
+                target = int(parts[1])
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if count < 0 or target is None:
         raise ValueError("missing header or target line")
     if sorted(nodes) != list(range(1, count + 1)):

@@ -17,6 +17,7 @@ from .engine import (
     BranchingSequence,
     SolveResult,
     SolverConfig,
+    _widx,
     solve,
 )
 from .formula import Clause, CnfFormula, canonical_literals
@@ -393,6 +394,11 @@ def _support(proof: ResolutionProof) -> list[tuple[int, ...]]:
 
     Expects a normalized refutation whose final step resolves complementary
     unit clauses; rejects anything else.
+
+    Proof-trace extension uses this support, chain intermediates included:
+    built from _fused_support instead, it needed fallback decisions on a
+    third of the refutations checked, every grid from 3 to 11 among them
+    (see docs/DECISIONS.md).
     """
     last = proof.steps[-1]
     if last.clause != ():
@@ -423,7 +429,7 @@ def proof_trace_extension(
     (-x | t) for every literal x of C; branching the t's in derivation order
     makes a learner using the new-cut scheme rederive each C in one decision.
     """
-    support, _ = _normalized_support(formula, proof)
+    support = _support(_validated(formula, proof))
     t0 = formula.num_vars
     clauses: list[Clause] = list(formula.clauses)
     for k, c in enumerate(support, start=1):
@@ -441,6 +447,10 @@ def _fused_support(proof: ResolutionProof) -> list[tuple[int, ...]]:
     resolvent is reported. This recovers the learned clauses of a solver log
     and drops the chain intermediates, which a replay can never learn
     individually. The empty clause is excluded.
+
+    Replay uses this coarser support: built from _support instead, it
+    learned its support in order on none of the refutations checked (see
+    docs/DECISIONS.md).
     """
     steps = proof.steps
     uses: dict[int, int] = {}
@@ -471,7 +481,10 @@ def res_to_clmm_sequence(
     followed by a restart marker. Replayed with branching on assigned
     literals and a scheme that stays non-redundant on these conflicts, the
     solver learns those clauses in order and ends in a level-zero conflict."""
-    support, _ = _normalized_replay_support(formula, proof)
+    return _replay_sequence(_replay_support(formula, proof))
+
+
+def _replay_sequence(support: Iterable[tuple[int, ...]]) -> BranchingSequence:
     entries: list = []
     for c in support:
         entries.extend(c)
@@ -490,14 +503,12 @@ def _validated(formula: CnfFormula, proof: ResolutionProof) -> ResolutionProof:
     return normalize_refutation(ResolutionProof(formula, proof.steps))
 
 
-def _normalized_support(formula: CnfFormula, proof: ResolutionProof):
-    normalized = _validated(formula, proof)
-    return _support(normalized), normalized
-
-
-def _normalized_replay_support(formula: CnfFormula, proof: ResolutionProof):
-    normalized = _validated(formula, proof)
-    return _fused_support(normalized), normalized
+def _replay_support(
+    formula: CnfFormula, proof: ResolutionProof
+) -> list[tuple[int, ...]]:
+    """The clauses a replay learns, in order: the fused support of the
+    checked and normalized refutation."""
+    return _fused_support(_validated(formula, proof))
 
 
 @dataclass(frozen=True)
@@ -526,16 +537,11 @@ def replay_extended_sequence(
     clause, so the decision scheme relearns the support in order. Raises if
     any learned clause was already known at its conflict (the replay requires
     effectively non-redundant learning)."""
-    support, normalized = _normalized_replay_support(formula, proof)
-    entries: list = []
-    for c in support:
-        entries.extend(c)
-        entries.append(RESTART)
+    support = _replay_support(formula, proof)
     cfg = SolverConfig(
         learning=learning,
-        sequence=BranchingSequence(tuple(entries)),
+        sequence=_replay_sequence(support),
         cl_minus_minus=True,
-        restart_policy="sequence_markers_only",
         conflict_budget=conflict_budget,
     )
     result = solve(formula, cfg)
@@ -678,10 +684,6 @@ class UnitPropagationChecker:
         del self.trail[mark:]
         self.qhead = mark
         return conflict
-
-
-def _widx(lit: int) -> int:
-    return 2 * lit if lit > 0 else -2 * lit + 1
 
 
 # ------------------------------------------------------------------- proof I/O

@@ -1,23 +1,17 @@
 """Automatic branching-sequence generation for pebbling and GTn formulas.
 
-The pebbling generators walk the pebbling graph (the high-level problem
-description, not its CNF) and emit label variables in the order that makes a
-fast-backtracking first-UIP learner derive the node clauses bottom-up. The
+The pebbling generator walks the pebbling graph (the high-level problem
+description, not its CNF) and emits label variables in the order that makes a
+fast-backtracking first-UIP learner derive the node clauses bottom-up; on a
+grid (pyramid) graph this one walk yields the published grid sequence. The
 GTn generator emits the simple row-by-row pattern; it is an approximate
 sequence and the solver is expected to fall back to its heuristic after it.
 """
 
 from __future__ import annotations
 
-import sys
-
 from .engine import BranchingSequence
 from .generators import PebblingGraph, gtn_var
-
-
-def _with_recursion_room(n: int):
-    limit = max(sys.getrecursionlimit(), 4 * n + 100)
-    sys.setrecursionlimit(limit)
 
 
 def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
@@ -56,17 +50,20 @@ def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
     visited: set[int] = set()
     visited_as_high: set[int] = set()
 
-    def wrapper(v: int) -> None:
+    # wrapper and sub are the published recursive procedures, written as
+    # generators that yield each recursive call instead of making it; walk()
+    # runs them with an explicit stack, so deep graphs need no Python stack
+    def wrapper(v: int):
         if preds[v]:
-            sub(v, len(preds[v]))
+            yield sub(v, len(preds[v]))
 
-    def sub(v: int, i: int) -> None:
+    def sub(v: int, i: int):
         u = preds[v][i - 1]
         if i == 1:
             # lowest predecessor: no labels, only the recursion
             if u not in visited and u not in sources:
                 visited.add(u)
-                wrapper(u)
+                yield wrapper(u)
             return
         lab = labels[u]
         out.extend(lab[:-1])
@@ -75,84 +72,29 @@ def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
             out.append(lab[-1])
             if u not in visited:
                 visited.add(u)
-                wrapper(u)
-        sub(v, i - 1)
+                yield wrapper(u)
+        yield sub(v, i - 1)
         for j in range(len(lab) - 2, 0, -1):
             out.extend(lab[:j])
-            sub(v, i - 1)
-        sub(v, i - 1)
+            yield sub(v, i - 1)
+        yield sub(v, i - 1)
 
-    _with_recursion_room(len(graph.nodes) * 8)
+    def walk(v: int) -> None:
+        stack = [wrapper(v)]
+        while stack:
+            call = next(stack[-1], None)
+            if call is None:
+                stack.pop()
+            else:
+                stack.append(call)
+
     for u in sorted(unit_nodes, key=lambda n: (heights[n], n)):
         if u == graph.target:
             continue
         out.extend(labels[u])
-        wrapper(u)
-    wrapper(graph.target)
+        walk(u)
+    walk(graph.target)
     return BranchingSequence(tuple(out))
-
-
-def grid_peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
-    """Specialized sequence for grid (pyramid) pebbling graphs.
-
-    One walk from the target: emit the left predecessor's first label; on its
-    first visit as a left child also emit its second label, recurse into it,
-    and then recurse into the right predecessor. Equals the general algorithm
-    on grids.
-    """
-    layout = _grid_layout(graph)
-    sources = graph.sources()
-    out: list[int] = []
-    visited: set[int] = set()
-    visited_as_left: set[int] = set()
-
-    def rec(v: int) -> None:
-        if v in sources:
-            return
-        left, right = layout[v]
-        out.append(graph.node(left).label[0])
-        if left not in visited_as_left and left not in sources:
-            visited_as_left.add(left)
-            out.append(graph.node(left).label[1])
-            if left not in visited:
-                visited.add(left)
-                rec(left)
-            if right not in visited and right not in sources:
-                visited.add(right)
-                rec(right)
-
-    _with_recursion_room(len(graph.nodes) * 4)
-    rec(graph.target)
-    return BranchingSequence(tuple(out))
-
-
-def _grid_layout(graph: PebblingGraph) -> dict[int, tuple[int, int]]:
-    """Validate the pyramid shape and return each internal node's
-    (left, right) predecessor pair (left = smaller id)."""
-    n = len(graph.nodes)
-    layers = int((2 * n) ** 0.5)
-    while layers * (layers + 1) // 2 > n:
-        layers -= 1
-    if layers * (layers + 1) // 2 != n:
-        raise ValueError("not a grid pebbling graph: node count is not triangular")
-    layout: dict[int, tuple[int, int]] = {}
-    nid = 0
-    below: list[int] = []
-    for width in range(layers, 0, -1):
-        current = []
-        for pos in range(width):
-            nid += 1
-            node = graph.node(nid)
-            if len(node.label) != 2:
-                raise ValueError("not a grid pebbling graph: labels must have 2 variables")
-            expected = () if not below else (below[pos], below[pos + 1])
-            if tuple(node.preds) != expected:
-                raise ValueError("not a grid pebbling graph: wrong predecessor wiring")
-            if below:
-                layout[nid] = (below[pos], below[pos + 1])
-            current.append(nid)
-        below = current
-    return layout
 
 
 def gtn_seq(n: int) -> BranchingSequence:

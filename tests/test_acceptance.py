@@ -110,9 +110,9 @@ def _satisfies_replay_preprocessing(f, proof) -> bool:
     derivable strict subclause; operationally, no strict subclause of a
     support clause may already follow by unit propagation from the formula
     and the support clauses before it."""
-    from clsat.proofs import _normalized_replay_support
+    from clsat.proofs import _replay_support
 
-    support, _ = _normalized_replay_support(f, proof)
+    support = _replay_support(f, proof)
     chk = UnitPropagationChecker(f.num_vars)
     for c in f.clauses:
         chk.add_clause(list(c.literals))

@@ -1,3 +1,5 @@
+import pytest
+
 from clsat import parse_dimacs, parse_sequence
 from clsat.bench import CSV_HEADER
 from clsat.cli import main
@@ -32,9 +34,25 @@ def test_gen_seq_grid_golden(tmp_path):
     run(["gen-grid", "--layers", "4", "-o", str(tmp_path / "x.cnf"), "--graph", str(graph)])
     assert run(["gen-seq", "--graph", str(graph), "-o", str(seq)]) == 0
     assert parse_sequence(seq.read_text()).entries == (15, 16, 9, 10, 1, 3, 11, 12, 5)
-    seq2 = tmp_path / "g2.seq"
-    assert run(["gen-seq", "--graph", str(graph), "--algorithm", "grid", "-o", str(seq2)]) == 0
-    assert seq2.read_text() == seq.read_text()
+
+
+def test_gen_seq_needs_exactly_one_source(tmp_path, capsys):
+    graph = tmp_path / "g.peb"
+    run(["gen-grid", "--layers", "3", "-o", str(tmp_path / "x.cnf"), "--graph", str(graph)])
+    for args in (["gen-seq"], ["gen-seq", "--graph", str(graph), "--gtn", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "one of the arguments --graph --gtn is required" in err
+    assert "not allowed with argument" in err
+
+
+def test_gen_seq_malformed_graph(tmp_path, capsys):
+    bad = tmp_path / "bad.peb"
+    bad.write_text("p peb 1\nn 1 1 |\nt\n")
+    assert run(["gen-seq", "--graph", str(bad)]) == 1
+    assert "error: line 3:" in capsys.readouterr().err
 
 
 def test_gen_seq_gtn(tmp_path):

@@ -151,13 +151,9 @@ def test_level_zero_conflict_graph_has_no_decisions():
 def test_clash_graph():
     class FakeState:
         current_level = 2
-        _lits = {1: 1, 2: 2}
         _rsn = {1: (1,), 2: (-1, 2)}
         _lvl = {1: 0, 2: 0}
         _pos = {1: 0, 2: 1}
-
-        def trail_literal(self, v):
-            return self._lits[v]
 
         def reason_literals(self, v):
             return self._rsn[v]
@@ -179,13 +175,9 @@ def test_first_new_cut_trace_conflict():
     # both conflict literals on the conflict side yields (A|B)
     class FakeState:
         current_level = 3
-        _lits = {1: -1, 2: -2, 3: -3, 4: 4}
         _rsn = {1: None, 2: None, 3: None, 4: (1, 2, 4)}
         _lvl = {1: 1, 2: 2, 3: 3, 4: 3}
         _pos = {1: 0, 2: 1, 3: 2, 4: 3}
-
-        def trail_literal(self, v):
-            return self._lits[v]
 
         def reason_literals(self, v):
             return self._rsn[v]

@@ -168,6 +168,21 @@ def test_pebbling_graph_file_roundtrip():
     assert g2 == g
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p peb 1\nn 1 1 |\nt\n", "line 3: target line needs exactly one node id"),
+        ("p peb x\nn 1 1 |\nt 1\n", "line 1: invalid literal"),
+        ("p peb 1\nn x 1 |\nt 1\n", "line 2: invalid literal"),
+        ("p peb 1\nn 1 y |\nt 1\n", "line 2: invalid literal"),
+        ("p peb 2\nn 1 1 |\n# c\nn 1 2 |\nt 1\n", "line 4: duplicate node id 1"),
+    ],
+)
+def test_pebbling_graph_parse_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_pebbling_graph(text)
+
+
 def test_heights_recurrence():
     g = gen_random_pebbling(12, 4, 3, seed=8)
     h = g.heights()

@@ -179,7 +179,6 @@ def test_restart_markers():
         learning="first_uip",
         sequence=seq,
         cl_minus_minus=True,
-        restart_policy="sequence_markers_only",
     )
     r = solve(f, cfg)
     assert r.is_sat
@@ -194,7 +193,6 @@ def test_restart_keeps_learned_clauses():
         learning="first_uip",
         sequence=seq,
         cl_minus_minus=True,
-        restart_policy="sequence_markers_only",
     )
     s = Solver(f, cfg)
     r = s.solve()
@@ -212,16 +210,6 @@ def test_config_validation():
     seq = BranchingSequence((1, RESTART))
     with pytest.raises(ValueError, match="restart markers"):
         Solver(CnfFormula(1, [(1,)]), SolverConfig(learning="first_uip", sequence=seq))
-    with pytest.raises(ValueError, match="restarts are off"):
-        Solver(
-            CnfFormula(1, [(1,)]),
-            SolverConfig(
-                learning="first_uip",
-                sequence=seq,
-                cl_minus_minus=True,
-                restart_policy="off",
-            ),
-        )
 
 
 def test_model_soundness_random():
