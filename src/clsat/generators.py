@@ -259,6 +259,8 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
             if parts[0] == "p":
                 if len(parts) != 3 or parts[1] != "peb":
                     raise ValueError("malformed header")
+                if count >= 0:
+                    raise ValueError("duplicate header")
                 count = int(parts[2])
             elif parts[0] == "n":
                 if "|" not in parts:
@@ -273,6 +275,8 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
             elif parts[0] == "t":
                 if len(parts) != 2:
                     raise ValueError("target line needs exactly one node id")
+                if target is not None:
+                    raise ValueError("duplicate target line")
                 target = int(parts[1])
             else:
                 raise ValueError(f"unrecognized line {line!r}")

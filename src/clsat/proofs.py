@@ -8,7 +8,9 @@ refutation ends in the empty clause.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .conflict import LearnedClauseRecord
@@ -248,6 +250,13 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     clauses subsumed by an earlier step, and replace a derived clause by any
     strict subclause obtainable by resolving two earlier steps. Finally prune
     steps unused by the empty clause.
+
+    Both searches read one overlap count per emitted clause: how many of its
+    literals each earlier step shares. By the time the pair search runs, no
+    earlier non-empty step is a subclause of the clause, so only steps with
+    exactly one literal outside it can be antecedents of a shrinking pair.
+    The first match in step order is kept, which makes the output
+    independent of how candidates are found.
     """
     Step = tuple  # ("i", clause) | ("r", left, right, pivot, clause)
     cur: list[Step] = []
@@ -262,19 +271,26 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
         alias: dict[int, int] = {}
         by_clause: dict[tuple[int, ...], int] = {}
         by_literal: dict[int, list[int]] = {}
+        units: list[int] = []
 
         def emit(step: Step, old_idx: int) -> None:
             clause = step[-1]
             if clause in by_clause:
                 alias[old_idx] = by_clause[clause]
                 return
+            # literals shared with `clause`, per earlier step sharing any;
+            # clauses are canonical, so a step whose count equals its length
+            # is a subclause
+            count = Counter(
+                chain.from_iterable(by_literal.get(lit, ()) for lit in clause)
+            )
             # an earlier strictly smaller clause subsumes this one
-            smaller = _find_subsuming(out, by_literal, clause)
+            smaller = _find_subsuming(out, count, clause)
             if smaller is not None:
                 alias[old_idx] = smaller
                 return
             if step[0] == "r":
-                shrunk = _find_pair_shrink(out, by_literal, clause)
+                shrunk = _find_pair_shrink(out, units, count, clause)
                 if shrunk is not None:
                     l, r, piv, res = shrunk
                     emit(("r", l, r, piv, res), old_idx)
@@ -284,6 +300,8 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
             by_clause[clause] = new_idx
             for lit in clause:
                 by_literal.setdefault(lit, []).append(new_idx)
+            if len(clause) == 1:
+                units.append(new_idx)
             alias[old_idx] = new_idx
 
         for idx, step in enumerate(cur):
@@ -340,50 +358,41 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     return ResolutionProof(proof.over, tuple(steps))
 
 
-def _find_subsuming(out, by_literal, clause) -> int | None:
-    if not clause:
-        return None
-    candidates = None
-    for lit in clause:
-        ids = by_literal.get(lit, ())
-        if candidates is None:
-            candidates = set(ids)
-        else:
-            candidates |= set(ids)
-    if not candidates:
-        return None
-    cs = set(clause)
-    best = None
-    for i in candidates:
-        c = out[i][-1]
-        if len(c) < len(cs) and set(c) <= cs:
-            if best is None or i < best:
-                best = i
-    return best
+def _find_subsuming(out, count, clause) -> int | None:
+    """The first earlier step that shares a literal with `clause` and is a
+    strict subclause of it, or None."""
+    n = len(clause)
+    return min(
+        (a for a, k in count.items() if k == len(out[a][-1]) < n), default=None
+    )
 
 
-def _find_pair_shrink(out, by_literal, clause):
+def _find_pair_shrink(out, units, count, clause):
     """A pair of earlier steps whose resolvent is a strict subclause of
-    `clause`, or None. Returns (left, right, pivot, resolvent)."""
+    `clause`, or None. Returns (left, right, pivot, resolvent) for the
+    smallest left, then the smallest right.
+
+    Requires that no earlier non-empty step is a subclause of `clause`
+    (emit has aliased equal and subsumed clauses before it asks). Then each
+    antecedent has exactly one literal outside `clause`, and it is the pivot
+    literal: the candidates are the unit steps and the steps whose overlap
+    count is one short of their length, and a pair resolves only when their
+    outside literals are complementary.
+    """
     cs = set(clause)
-    for a, step_a in enumerate(out):
-        ca = step_a[-1]
-        if len(ca) > len(cs) + 1:
-            continue
-        for x in ca:
-            rest = set(ca) - {x}
-            if not rest <= cs:
-                continue
-            for b in by_literal.get(-x, ()):
-                cb = out[b][-1]
-                if len(cb) > len(cs) + 1:
-                    continue
-                rb = set(cb) - {-x}
-                if not rb <= cs:
-                    continue
-                res = canonical_literals(rest | rb)
-                if len(res) < len(cs):
-                    return (a, b, abs(x), res)
+    candidates: list[tuple[int, int]] = []  # (step, its outside literal)
+    by_outside: dict[int, list[int]] = {}
+    for a in sorted(
+        chain(units, (a for a, k in count.items() if k == len(out[a][-1]) - 1))
+    ):
+        x = next(lit for lit in out[a][-1] if lit not in cs)
+        candidates.append((a, x))
+        by_outside.setdefault(x, []).append(a)
+    for a, x in candidates:
+        for b in by_outside.get(-x, ()):
+            res = cs.intersection(out[a][-1] + out[b][-1])
+            if len(res) < len(cs):
+                return (a, b, abs(x), canonical_literals(res))
     return None
 
 

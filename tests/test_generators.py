@@ -176,6 +176,8 @@ def test_pebbling_graph_file_roundtrip():
         ("p peb 1\nn x 1 |\nt 1\n", "line 2: invalid literal"),
         ("p peb 1\nn 1 y |\nt 1\n", "line 2: invalid literal"),
         ("p peb 2\nn 1 1 |\n# c\nn 1 2 |\nt 1\n", "line 4: duplicate node id 1"),
+        ("p peb 1\nn 1 1 |\np peb 1\nt 1\n", "line 3: duplicate header"),
+        ("p peb 1\nn 1 1 |\nt 1\nt 1\n", "line 4: duplicate target line"),
     ],
 )
 def test_pebbling_graph_parse_errors(text, message):

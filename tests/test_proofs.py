@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 
 from clsat import (
@@ -12,6 +15,7 @@ from clsat import (
     cl_to_res,
     gen_grid,
     gen_gtn,
+    gen_random_pebbling,
     normalize_refutation,
     parse_proof,
     peb_seq_1uip,
@@ -268,7 +272,78 @@ def test_normalize_dedupes_and_prunes():
     assert np.steps[-1].clause == ()
 
 
-def test_normalize_pair_shrink():
+def _refutation(f, learning, seq=None, budget=None):
+    r = solve(f, SolverConfig(learning=learning, sequence=seq, conflict_budget=budget))
+    return cl_to_res(r.records, f) if r.is_unsat else None
+
+
+@pytest.fixture(scope="module")
+def normalize_corpus():
+    """Seeded refutations for the normalization checks: guided first-UIP
+    grids 2-10; decision, rel-sat and FirstNewCut refutations of GT3-5 and of
+    12 random pebbling graphs; random 3-CNFs refuted within a conflict budget
+    (the others are left out)."""
+    corpus = {}
+    for layers in range(2, 11):
+        g = gen_grid(layers)
+        corpus[f"grid{layers}"] = _refutation(
+            pebbling_to_cnf(g), "first_uip", peb_seq_1uip(g)
+        )
+    for scheme in ("decision", "relsat", "first_new_cut"):
+        for n in (3, 4, 5):
+            corpus[f"gt{n}-{scheme}"] = _refutation(gen_gtn(n), scheme, budget=2000)
+        for seed in range(1, 13):
+            f = pebbling_to_cnf(gen_random_pebbling(8, 3, 2, seed))
+            corpus[f"peb{seed}-{scheme}"] = _refutation(f, scheme, budget=2000)
+    for seed in range(1, 25):
+        proof = _refutation(random_3cnf(18, 90, seed), "first_uip", budget=300)
+        if proof is not None:
+            corpus[f"cnf{seed}"] = proof
+    return corpus
+
+
+# sha256 prefixes of write_proof(normalize_refutation(proof)) over
+# normalize_corpus, recorded before the candidate search used literal overlap
+NORMALIZE_DIGESTS = {
+    "grid2": "8bf4119c7ca4115d", "grid3": "0d5aa363895407ff", "grid4": "b440ec48eb6986af",
+    "grid5": "75f8133380648999", "grid6": "16889d9db4f82fff", "grid7": "2f005f36dd059007",
+    "grid8": "f387e2b431a82122", "grid9": "eca7fb4d026c617b", "grid10": "bad56f5b5b78cee1",
+    "gt3-decision": "d75b30793c82dcf3", "gt4-decision": "40e7826ec1e08a86", "gt5-decision": "8fefc44cbe0efcbd",
+    "peb1-decision": "66a5397e6d41cf8e", "peb2-decision": "99eca533ad19ac77", "peb3-decision": "4430c66a561e394d",
+    "peb4-decision": "59a802589741bd90", "peb5-decision": "0c63ddb1f8df9267", "peb6-decision": "bfe0b33c260bf2fc",
+    "peb7-decision": "31f032278ffb9619", "peb8-decision": "532af099f2342f93", "peb9-decision": "230b2324dad0cfcf",
+    "peb10-decision": "fa4d4e8fb70cedd8", "peb11-decision": "1ddaa9ce74dca0c6", "peb12-decision": "b4d977b26a549df1",
+    "gt3-relsat": "d75b30793c82dcf3", "gt4-relsat": "90d8aea531e0389f", "gt5-relsat": "4d29aafe71ddf3d6",
+    "peb1-relsat": "05c6e647f562076e", "peb2-relsat": "a65c88ca208c5de7", "peb3-relsat": "92b82a3709d6d726",
+    "peb4-relsat": "6db958f8c265d476", "peb5-relsat": "840b7b23cdec643f", "peb6-relsat": "f69cba933ff2155f",
+    "peb7-relsat": "179b76bfa9167f69", "peb8-relsat": "7bd6fdd46051a498", "peb9-relsat": "cc50341d0e5ac562",
+    "peb10-relsat": "a4baafe108ca5136", "peb11-relsat": "0b77667406ec313a", "peb12-relsat": "1d52cb2255a135df",
+    "gt3-first_new_cut": "d75b30793c82dcf3", "gt4-first_new_cut": "bfd6d87c837e8160", "gt5-first_new_cut": "462d5da3db274142",
+    "peb1-first_new_cut": "7a0a03ba0139d315", "peb2-first_new_cut": "003f5fb07866bf70", "peb3-first_new_cut": "125ebd80dcb97eeb",
+    "peb4-first_new_cut": "e8703cfa410d8a04", "peb5-first_new_cut": "3e65c920fa2c1d42", "peb6-first_new_cut": "a86f2d25d7b13fe0",
+    "peb7-first_new_cut": "97b40269144dfbf2", "peb8-first_new_cut": "51124d3cd03aee5c", "peb9-first_new_cut": "525e825eb0d4e69d",
+    "peb10-first_new_cut": "b28ead77d6f39dcc", "peb11-first_new_cut": "9e85293fc85f5615", "peb12-first_new_cut": "675b067d763302d4",
+    "cnf1": "f5fbaefce61444dd", "cnf3": "7d6680f36e7a9624", "cnf5": "5386a8f6decbcbce",
+    "cnf6": "881272c390e303e6", "cnf8": "d3c8645e73f8503c", "cnf9": "608535652652af16",
+    "cnf10": "1fe56a34044f1143", "cnf11": "8d37735d184fca90", "cnf14": "7feb1c0de7a4c926",
+    "cnf18": "eb2127412ef320a9", "cnf20": "75a6873b80088e3d", "cnf23": "3e77474590ee43cb",
+    "cnf24": "0c651a27f513f67e",
+}
+
+
+def test_normalize_golden_digests(normalize_corpus):
+    digests = {}
+    changed = 0
+    for name, proof in normalize_corpus.items():
+        np = normalize_refutation(proof)
+        assert check_res_refutation(np), name
+        changed += np.steps != proof.steps
+        digests[name] = hashlib.sha256(write_proof(np).encode()).hexdigest()[:16]
+    assert digests == NORMALIZE_DIGESTS
+    assert changed >= 20
+
+
+def test_normalize_pair_shrink(normalize_corpus):
     # the derived clause (2 3) has the strict subclause (2) obtainable by
     # resolving the earlier pair (1 2), (-1 2); normalization must shrink it
     f = CnfFormula(3, [(1, 2), (-1, 2), (-2, 3), (-2, -3)])
@@ -285,25 +360,46 @@ def test_normalize_pair_shrink():
         ResolutionStep((2,), 8, 3, 1),
         ResolutionStep((), 9, 7, 2),
     )
-    proof = ResolutionProof(f, steps)
-    assert check_res_refutation(proof)
-    np = normalize_refutation(proof)
-    assert check_res_refutation(np)
-    assert (2, 3) not in [s.clause for s in np.steps]
-    # no derived clause has a strict subclause derivable from an earlier pair
-    for i, st in enumerate(np.steps):
-        if st.is_initial:
-            continue
-        earlier = [s.clause for s in np.steps[:i]]
-        for a in range(len(earlier)):
-            for b in range(len(earlier)):
-                for x in earlier[a]:
-                    if -x in earlier[b]:
-                        res = (set(earlier[a]) | set(earlier[b])) - {x, -x}
-                        if not any(-l in res for l in res):
-                            assert not (
-                                res < set(st.clause)
-                            ), f"step {i} has pair-derivable subclause"
+    hand = ResolutionProof(f, steps)
+    assert check_res_refutation(hand)
+    assert (2, 3) not in [s.clause for s in normalize_refutation(hand).steps]
+    # the corpus proofs small enough for the cubic pair check below
+    small = [p for p in normalize_corpus.values() if p.size <= 60]
+    assert len(small) >= 20
+    for proof in [hand, *small]:
+        np = normalize_refutation(proof)
+        assert check_res_refutation(np)
+        # no derived clause has a strict subclause derivable from an earlier pair
+        for i, st in enumerate(np.steps):
+            if st.is_initial:
+                continue
+            earlier = [s.clause for s in np.steps[:i]]
+            for a in range(len(earlier)):
+                for b in range(len(earlier)):
+                    for x in earlier[a]:
+                        if -x in earlier[b]:
+                            res = (set(earlier[a]) | set(earlier[b])) - {x, -x}
+                            if not any(-l in res for l in res):
+                                assert not (
+                                    res < set(st.clause)
+                                ), f"step {i} has pair-derivable subclause"
+
+
+def test_grid20_trace_extension_and_replay_scale():
+    # both constructions normalize the 1926-step refutation first; a
+    # normalization that grows quadratically with proof size misses the bound
+    g = gen_grid(20)
+    f = pebbling_to_cnf(g)
+    proof = _refutation(f, "first_uip", peb_seq_1uip(g))
+    assert proof.size == 1926
+    t0 = time.perf_counter()
+    extended, seq = proof_trace_extension(f, proof)
+    r = solve(extended, SolverConfig(learning="first_new_cut", sequence=seq))
+    report = replay_extended_sequence(f, proof)
+    elapsed = time.perf_counter() - t0
+    assert r.is_unsat and r.stats.fallback_decisions == 0
+    assert report.result.is_unsat and report.learned == report.support
+    assert elapsed < 2.0, elapsed
 
 
 def test_unit_propagation_checker():
