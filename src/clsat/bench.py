@@ -11,11 +11,14 @@ so output is deterministic apart from the wall-time column.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import partial
+from typing import Iterable
 
 from .engine import BranchingSequence, SolverConfig, solve
 from .formula import CnfFormula
 from .generators import (
+    PebblingGraph,
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
@@ -26,8 +29,6 @@ from .generators import (
 from .seqgen import gtn_seq, peb_seq_1uip
 
 CSV_HEADER = "family,params,variant,config,outcome,decisions,conflicts,learned,fallback,restarts,time_ms"
-
-CONFIG_LABELS = ("dpll", "cl_default", "cl_sequence")
 
 DEFAULT_CONFLICT_BUDGET = 10**6
 DEFAULT_DECISION_BUDGET = 10**7
@@ -48,55 +49,13 @@ class BenchRow:
     time_ms: float
 
     def csv(self) -> str:
-        return ",".join(
-            str(x)
-            for x in (
-                self.family,
-                self.params,
-                self.variant,
-                self.config,
-                self.outcome,
-                self.decisions,
-                self.conflicts,
-                self.learned,
-                self.fallback,
-                self.restarts,
-                f"{self.time_ms:.1f}",
-            )
-        )
+        *fields, time_ms = astuple(self)
+        return ",".join(str(x) for x in fields) + f",{time_ms:.1f}"
 
 
-def _solver_config(
-    label: str,
-    sequence: BranchingSequence | None,
-    conflict_budget: int,
-    decision_budget: int,
-) -> SolverConfig:
-    if label == "dpll":
-        return SolverConfig(
-            learning="none",
-            conflict_budget=conflict_budget,
-            decision_budget=decision_budget,
-            log_proof=False,
-        )
-    if label == "cl_default":
-        return SolverConfig(
-            learning="first_uip",
-            conflict_budget=conflict_budget,
-            decision_budget=decision_budget,
-            log_proof=False,
-        )
-    if label == "cl_sequence":
-        if sequence is None:
-            raise ValueError("cl_sequence needs a generated branching sequence")
-        return SolverConfig(
-            learning="first_uip",
-            sequence=sequence,
-            conflict_budget=conflict_budget,
-            decision_budget=decision_budget,
-            log_proof=False,
-        )
-    raise ValueError(f"unknown config label {label!r}")
+# learning scheme per config label; cl_sequence also branches on the
+# generated sequence
+_LEARNING = {"dpll": "none", "cl_default": "first_uip", "cl_sequence": "first_uip"}
 
 
 def run_case(
@@ -109,7 +68,17 @@ def run_case(
     conflict_budget: int,
     decision_budget: int,
 ) -> BenchRow:
-    cfg = _solver_config(label, sequence, conflict_budget, decision_budget)
+    if label not in _LEARNING:
+        raise ValueError(f"unknown config label {label!r}")
+    if label == "cl_sequence" and sequence is None:
+        raise ValueError("cl_sequence needs a generated branching sequence")
+    cfg = SolverConfig(
+        learning=_LEARNING[label],
+        sequence=sequence if label == "cl_sequence" else None,
+        conflict_budget=conflict_budget,
+        decision_budget=decision_budget,
+        log_proof=False,
+    )
     t0 = time.perf_counter()
     result = solve(formula, cfg)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -129,18 +98,41 @@ def run_case(
     )
 
 
-def _cases(formula, sequence, variants, sat_seed, sat_pool=None):
-    out = []
-    for variant in variants:
-        if variant == "unsat":
-            out.append((variant, formula, sequence))
-        elif variant == "sat":
-            out.append(
-                (variant, make_satisfiable(formula, sat_seed, pool=sat_pool), sequence)
-            )
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+def _bench_family(
+    family: str,
+    instances: Iterable[tuple],
+    variants: list[str],
+    configs: list[str],
+    sat_seed: int,
+    conflict_budget: int,
+    decision_budget: int,
+) -> list[BenchRow]:
+    """One row per instance, variant and config, in that order. Each instance
+    is (params, formula, sequence builder, deletion pool); the builder runs
+    only when cl_sequence is among the configs, and the pool (None for every
+    clause) is where the satisfiable variant deletes a clause."""
+    unknown = [v for v in variants if v not in ("unsat", "sat")]
+    if unknown:
+        raise ValueError(f"unknown variant {unknown[0]!r}")
+    rows = []
+    for params, formula, build_sequence, pool in instances:
+        sequence = build_sequence() if "cl_sequence" in configs else None
+        for variant in variants:
+            f = formula
+            if variant == "sat":
+                f = make_satisfiable(formula, sat_seed, pool=pool)
+            for label in configs:
+                rows.append(
+                    run_case(
+                        family, params, variant, label, f, sequence,
+                        conflict_budget, decision_budget,
+                    )
+                )
+    return rows
+
+
+def _pebbling_instance(params: str, graph: PebblingGraph):
+    return params, pebbling_to_cnf(graph), partial(peb_seq_1uip, graph), None
 
 
 def bench_grid(
@@ -151,20 +143,10 @@ def bench_grid(
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     decision_budget: int = DEFAULT_DECISION_BUDGET,
 ) -> list[BenchRow]:
-    rows = []
-    for L in layers:
-        graph = gen_grid(L)
-        formula = pebbling_to_cnf(graph)
-        sequence = peb_seq_1uip(graph) if "cl_sequence" in configs else None
-        for variant, f, seq in _cases(formula, sequence, variants, sat_seed):
-            for label in configs:
-                rows.append(
-                    run_case(
-                        "grid", f"layers={L}", variant, label, f, seq,
-                        conflict_budget, decision_budget,
-                    )
-                )
-    return rows
+    instances = (_pebbling_instance(f"layers={L}", gen_grid(L)) for L in layers)
+    return _bench_family(
+        "grid", instances, variants, configs, sat_seed, conflict_budget, decision_budget
+    )
 
 
 def bench_random_pebbling(
@@ -178,21 +160,17 @@ def bench_random_pebbling(
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     decision_budget: int = DEFAULT_DECISION_BUDGET,
 ) -> list[BenchRow]:
-    rows = []
-    for nodes in nodes_list:
-        graph = gen_random_pebbling(nodes, max_indegree, max_label, seed)
-        formula = pebbling_to_cnf(graph)
-        sequence = peb_seq_1uip(graph) if "cl_sequence" in configs else None
-        params = f"nodes={nodes};d={max_indegree};l={max_label};seed={seed}"
-        for variant, f, seq in _cases(formula, sequence, variants, sat_seed):
-            for label in configs:
-                rows.append(
-                    run_case(
-                        "random_pebbling", params, variant, label, f, seq,
-                        conflict_budget, decision_budget,
-                    )
-                )
-    return rows
+    instances = (
+        _pebbling_instance(
+            f"nodes={nodes};d={max_indegree};l={max_label};seed={seed}",
+            gen_random_pebbling(nodes, max_indegree, max_label, seed),
+        )
+        for nodes in nodes_list
+    )
+    return _bench_family(
+        "random_pebbling", instances, variants, configs, sat_seed,
+        conflict_budget, decision_budget,
+    )
 
 
 def bench_gtn(
@@ -203,20 +181,13 @@ def bench_gtn(
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     decision_budget: int = DEFAULT_DECISION_BUDGET,
 ) -> list[BenchRow]:
-    rows = []
-    for n in ns:
-        formula = gen_gtn(n)
-        sequence = gtn_seq(n) if "cl_sequence" in configs else None
-        pool = gtn_successor_indices(n)
-        for variant, f, seq in _cases(formula, sequence, variants, sat_seed, pool):
-            for label in configs:
-                rows.append(
-                    run_case(
-                        "gtn", f"n={n}", variant, label, f, seq,
-                        conflict_budget, decision_budget,
-                    )
-                )
-    return rows
+    instances = (
+        (f"n={n}", gen_gtn(n), partial(gtn_seq, n), gtn_successor_indices(n))
+        for n in ns
+    )
+    return _bench_family(
+        "gtn", instances, variants, configs, sat_seed, conflict_budget, decision_budget
+    )
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

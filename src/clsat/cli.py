@@ -13,6 +13,7 @@ import sys
 from . import bench as _bench
 from . import proofs as _proofs
 from .engine import (
+    LEARNING_SCHEMES,
     SolverConfig,
     parse_sequence,
     solve,
@@ -62,9 +63,8 @@ def _parse_range(spec: str) -> list[int]:
     return out
 
 
-def _emit_formula(args, formula: CnfFormula, graph=None) -> int:
+def _emit_formula(args, formula: CnfFormula, graph=None, pool=None) -> int:
     if args.sat_seed is not None:
-        pool = getattr(args, "_sat_pool", None)
         formula = make_satisfiable(formula, args.sat_seed, pool=pool)
     _write(args.output, write_dimacs(formula))
     if graph is not None and getattr(args, "graph", None):
@@ -83,9 +83,7 @@ def cmd_gen_randpeb(args) -> int:
 
 
 def cmd_gen_gtn(args) -> int:
-    formula = gen_gtn(args.n)
-    args._sat_pool = gtn_successor_indices(args.n)
-    return _emit_formula(args, formula)
+    return _emit_formula(args, gen_gtn(args.n), pool=gtn_successor_indices(args.n))
 
 
 def cmd_gen_seq(args) -> int:
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", help="branching sequence file (.seq)")
     p.add_argument(
         "--learning",
-        choices=["none", "decision", "relsat", "first_uip", "first_new_cut"],
+        choices=LEARNING_SCHEMES,
         default="first_uip",
     )
     p.add_argument("--cl-minus-minus", action="store_true", help="allow branching on assigned literals")

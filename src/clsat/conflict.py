@@ -50,13 +50,6 @@ class ConflictGraph:
     position: dict[int, float]
     conflict_level: int
 
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        succ: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for n in self.nodes:
-            for p in self.preds[n]:
-                succ[p].append(n)
-        return {k: tuple(v) for k, v in succ.items()}
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -77,17 +70,6 @@ class TrivialDerivation:
     base: tuple[int, ...]
     steps: tuple[tuple[tuple[int, ...], int], ...]  # (known clause, pivot variable)
     result: tuple[int, ...]
-
-    def intermediates(self):
-        """Yield the running clause after each resolution step."""
-        cur = set(self.base)
-        for ant, pivot in self.steps:
-            pos, neg = pivot, -pivot
-            if pos in cur:
-                cur = (cur - {pos}) | (set(ant) - {neg})
-            else:
-                cur = (cur - {neg}) | (set(ant) - {pos})
-            yield canonical_literals(cur)
 
 
 @dataclass(frozen=True)
@@ -324,12 +306,6 @@ def scheme_first_new_cut(
                 break
         if not expanded:
             return cand, True
-
-
-def full_conflict_cut(g: ConflictGraph) -> Cut:
-    """Every non-decision node on the conflict side; at decision level zero
-    this cut's clause is the empty clause."""
-    return scheme_decision(g)
 
 
 def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:

@@ -172,8 +172,8 @@ class Solver:
         self.qhead = 0
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
-        # canonical form of every clause held: input clauses, then learned ones
-        self.known: set[tuple[int, ...]] = formula.clause_set()
+        # canonical clauses held, input then learned; only FirstNewCut reads it
+        self.known = formula.clause_set() if cfg.learning == "first_new_cut" else None
         self.stats = SolveStats()
         self.records: list[LearnedClauseRecord] = []
         self.activity = [0.0] * (2 * n + 2)
@@ -304,12 +304,15 @@ class Solver:
         return None
 
     # -------------------------------------------------------------- trail ops
-    def _decide(self, lit: int) -> None:
+    def _open_level(self) -> None:
         self.trail_lim.append(len(self.trail))
-        if self.cfg.learning == "none":
-            self._dpll_levels.append((lit, False))
         if self.current_level > self.stats.max_level:
             self.stats.max_level = self.current_level
+
+    def _decide(self, lit: int) -> None:
+        self._open_level()
+        if self.cfg.learning == "none":
+            self._dpll_levels.append((lit, False))
         self._enqueue(lit, None)
 
     def backjump(self, level: int) -> None:
@@ -428,7 +431,8 @@ class Solver:
             self._bump(ant)
         self._decay_activity()
         backjump_level = self._install_learned(clause, g)
-        self.known.add(clause)
+        if self.known is not None:
+            self.known.add(clause)
         if self.cfg.log_proof:
             self.records.append(
                 LearnedClauseRecord(
@@ -468,18 +472,15 @@ class Solver:
             elif val < 0:
                 self._pending_conflict = ci
             return bt
-        decisions = [n for n in g.decisions]
-        deepest = max(g.level[n] for n in decisions)
-        flip_of = next(n for n in decisions if g.level[n] == deepest)
+        deepest = max(g.level[n] for n in g.decisions)
+        flip_of = next(n for n in g.decisions if g.level[n] == deepest)
         self.backjump(deepest - 1)
         ordered = sorted(clause, key=lambda x: -g.level[-x])
         ci = self._add_clause(ordered, init=False)
         flip = -flip_of
         val = self.lit_value(flip)
         if val == 0:
-            self.trail_lim.append(len(self.trail))
-            if self.current_level > self.stats.max_level:
-                self.stats.max_level = self.current_level
+            self._open_level()
             self._enqueue(flip, None)
         elif val < 0:
             self._pending_conflict = ci
@@ -501,7 +502,8 @@ class Solver:
             g = _ca.build_conflict_graph(self, tuple(self.clauses[confl]))
             if self.cfg.graph_sink is not None:
                 self.cfg.graph_sink(g)
-            cut = _ca.full_conflict_cut(g)
+            # no decisions at level zero, so the decision cut's clause is empty
+            cut = _ca.scheme_decision(g)
             derivation = _ca.extract_trivial_derivation(g, cut)
             record = LearnedClauseRecord(
                 clause=derivation.result,
@@ -522,7 +524,7 @@ class Solver:
             return False
         lit, _ = self._dpll_levels[-1]
         self.backjump(self.current_level - 1)
-        self.trail_lim.append(len(self.trail))
+        self._open_level()
         self._dpll_levels.append((-lit, True))
         self._enqueue(-lit, None)
         return True
@@ -580,9 +582,7 @@ class Solver:
                 stats.conflicts += 1
                 if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
                     return self._result("BUDGET_EXCEEDED")
-                self.trail_lim.append(len(self.trail))
-                if self.current_level > self.stats.max_level:
-                    self.stats.max_level = self.current_level
+                self._open_level()
                 self._analyze_and_learn(None, lit)
                 self._consume_restart_marker()
                 continue

@@ -177,6 +177,9 @@ def make_satisfiable(
     indices = list(pool) if pool is not None else list(range(formula.size))
     if not indices:
         raise ValueError("empty deletion pool")
+    outside = [i for i in indices if not 0 <= i < formula.size]
+    if outside:
+        raise ValueError(f"deletion pool index {outside[0]} is outside the formula")
     drop = indices[random.Random(seed).randrange(len(indices))]
     kept = [c for i, c in enumerate(formula.clauses) if i != drop]
     return CnfFormula(formula.num_vars, kept)

@@ -134,20 +134,14 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
     return CheckResult(True)
 
 
-def derivation_to_proof(derivation, extra_known: Iterable[Iterable[int]] = ()) -> ResolutionProof:
+def derivation_to_proof(derivation) -> ResolutionProof:
     """Lift a trivial derivation into a standalone resolution proof whose
-    formula consists of the known clauses the derivation uses (plus any
-    extras), so it can be checked with the generic checkers."""
-    known: list[tuple[int, ...]] = [canonical_literals(c) for c in extra_known]
-    known.append(derivation.base)
-    for ant, _ in derivation.steps:
-        known.append(ant)
-    seen = []
-    for c in known:
-        if c not in seen:
-            seen.append(c)
-    num_vars = max((abs(l) for c in seen for l in c), default=0)
-    over = CnfFormula(num_vars, [Clause(c) for c in seen])
+    formula consists of the known clauses the derivation uses, so it can be
+    checked with the generic checkers."""
+    used = [derivation.base, *(ant for ant, _ in derivation.steps)]
+    known = list(dict.fromkeys(used))  # first occurrences, in order
+    num_vars = max((abs(l) for c in known for l in c), default=0)
+    over = CnfFormula(num_vars, [Clause(c) for c in known])
     steps: list[ResolutionStep] = []
     index: dict[tuple[int, ...], int] = {}
 
@@ -214,8 +208,14 @@ def cl_to_res(
 
     if () not in index:
         raise ValueError("log never derives the empty clause")
+    return ResolutionProof(formula, _prune(steps, index[()]))
+
+
+def _prune(steps: Sequence[ResolutionStep], root: int) -> tuple[ResolutionStep, ...]:
+    """The steps `root` depends on, in their order, with antecedent indices
+    renumbered to match."""
     used: set[int] = set()
-    stack = [index[()]]
+    stack = [root]
     while stack:
         i = stack.pop()
         if i in used:
@@ -229,13 +229,10 @@ def cl_to_res(
     out = []
     for old in keep:
         st = steps[old]
-        if st.is_initial:
-            out.append(st)
-        else:
-            out.append(
-                ResolutionStep(st.clause, remap[st.left], remap[st.right], st.pivot)
-            )
-    return ResolutionProof(formula, tuple(out))
+        if not st.is_initial:
+            st = ResolutionStep(st.clause, remap[st.left], remap[st.right], st.pivot)
+        out.append(st)
+    return tuple(out)
 
 
 # --------------------------------------------------------------------- PT / CL--
@@ -258,23 +255,16 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     The first match in step order is kept, which makes the output
     independent of how candidates are found.
     """
-    Step = tuple  # ("i", clause) | ("r", left, right, pivot, clause)
-    cur: list[Step] = []
-    for st in proof.steps:
-        if st.is_initial:
-            cur.append(("i", st.clause))
-        else:
-            cur.append(("r", st.left, st.right, st.pivot, st.clause))
-
+    cur = list(proof.steps)
     for _ in range(len(cur) + 2):
-        out: list[Step] = []
+        out: list[ResolutionStep] = []
         alias: dict[int, int] = {}
         by_clause: dict[tuple[int, ...], int] = {}
         by_literal: dict[int, list[int]] = {}
         units: list[int] = []
 
-        def emit(step: Step, old_idx: int) -> None:
-            clause = step[-1]
+        def emit(step: ResolutionStep, old_idx: int) -> None:
+            clause = step.clause
             if clause in by_clause:
                 alias[old_idx] = by_clause[clause]
                 return
@@ -289,11 +279,10 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
             if smaller is not None:
                 alias[old_idx] = smaller
                 return
-            if step[0] == "r":
+            if not step.is_initial:
                 shrunk = _find_pair_shrink(out, units, count, clause)
                 if shrunk is not None:
-                    l, r, piv, res = shrunk
-                    emit(("r", l, r, piv, res), old_idx)
+                    emit(shrunk, old_idx)
                     return
             new_idx = len(out)
             out.append(step)
@@ -305,12 +294,11 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
             alias[old_idx] = new_idx
 
         for idx, step in enumerate(cur):
-            if step[0] == "i":
+            if step.is_initial:
                 emit(step, idx)
                 continue
-            _, l, r, piv, _ = step
-            l, r = alias[l], alias[r]
-            lc, rc = out[l][-1], out[r][-1]
+            l, r, piv = alias[step.left], alias[step.right], step.pivot
+            lc, rc = out[l].clause, out[r].clause
             has_l = piv in lc or -piv in lc
             has_r = piv in rc or -piv in rc
             if not has_l:
@@ -326,7 +314,7 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
                 # smaller antecedent
                 alias[idx] = l if len(lc) <= len(rc) else r
                 continue
-            emit(("r", l, r, piv, res), idx)
+            emit(ResolutionStep(res, l, r, piv), idx)
 
         if out == cur:
             break
@@ -334,28 +322,10 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     else:
         raise RuntimeError("proof normalization did not converge")
 
-    empties = [i for i, st in enumerate(cur) if st[-1] == ()]
-    if not empties:
+    root = next((i for i, st in enumerate(cur) if st.clause == ()), None)
+    if root is None:
         raise ValueError("normalization lost the empty clause")
-    used: set[int] = set()
-    stack = [empties[0]]
-    while stack:
-        i = stack.pop()
-        if i in used:
-            continue
-        used.add(i)
-        if cur[i][0] == "r":
-            stack.extend((cur[i][1], cur[i][2]))
-    keep = sorted(used)
-    remap = {old: new for new, old in enumerate(keep)}
-    steps = []
-    for old in keep:
-        st = cur[old]
-        if st[0] == "i":
-            steps.append(ResolutionStep(clause=st[1]))
-        else:
-            steps.append(ResolutionStep(st[4], remap[st[1]], remap[st[2]], st[3]))
-    return ResolutionProof(proof.over, tuple(steps))
+    return ResolutionProof(proof.over, _prune(cur, root))
 
 
 def _find_subsuming(out, count, clause) -> int | None:
@@ -363,14 +333,14 @@ def _find_subsuming(out, count, clause) -> int | None:
     strict subclause of it, or None."""
     n = len(clause)
     return min(
-        (a for a, k in count.items() if k == len(out[a][-1]) < n), default=None
+        (a for a, k in count.items() if k == len(out[a].clause) < n), default=None
     )
 
 
-def _find_pair_shrink(out, units, count, clause):
-    """A pair of earlier steps whose resolvent is a strict subclause of
-    `clause`, or None. Returns (left, right, pivot, resolvent) for the
-    smallest left, then the smallest right.
+def _find_pair_shrink(out, units, count, clause) -> ResolutionStep | None:
+    """A resolvent of two earlier steps that is a strict subclause of
+    `clause`, or None. The pair taken is the one with the smallest left,
+    then the smallest right.
 
     Requires that no earlier non-empty step is a subclause of `clause`
     (emit has aliased equal and subsumed clauses before it asks). Then each
@@ -383,16 +353,16 @@ def _find_pair_shrink(out, units, count, clause):
     candidates: list[tuple[int, int]] = []  # (step, its outside literal)
     by_outside: dict[int, list[int]] = {}
     for a in sorted(
-        chain(units, (a for a, k in count.items() if k == len(out[a][-1]) - 1))
+        chain(units, (a for a, k in count.items() if k == len(out[a].clause) - 1))
     ):
-        x = next(lit for lit in out[a][-1] if lit not in cs)
+        x = next(lit for lit in out[a].clause if lit not in cs)
         candidates.append((a, x))
         by_outside.setdefault(x, []).append(a)
     for a, x in candidates:
         for b in by_outside.get(-x, ()):
-            res = cs.intersection(out[a][-1] + out[b][-1])
+            res = cs.intersection(out[a].clause + out[b].clause)
             if len(res) < len(cs):
-                return (a, b, abs(x), canonical_literals(res))
+                return ResolutionStep(canonical_literals(res), a, b, abs(x))
     return None
 
 
@@ -536,7 +506,6 @@ def replay_extended_sequence(
     formula: CnfFormula,
     proof: ResolutionProof,
     conflict_budget: int | None = None,
-    learning: str = "decision",
 ) -> ReplayReport:
     """Run the extended-sequence replay of a refutation under branching on
     assigned literals.
@@ -548,16 +517,16 @@ def replay_extended_sequence(
     effectively non-redundant learning)."""
     support = _replay_support(formula, proof)
     cfg = SolverConfig(
-        learning=learning,
+        learning="decision",
         sequence=_replay_sequence(support),
         cl_minus_minus=True,
         conflict_budget=conflict_budget,
     )
     result = solve(formula, cfg)
     records = result.records or ()
-    known = set(formula.clause_set())
+    known = formula.clause_set()
     for r in records:
-        if r.redundant or (r.scheme != "final" and r.clause in known):
+        if r.scheme != "final" and r.clause in known:
             raise RuntimeError(
                 "learning collided with an already-known clause during replay"
             )

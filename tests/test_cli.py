@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from clsat import parse_dimacs, parse_sequence
@@ -211,6 +213,35 @@ def test_bench_deterministic_modulo_time(tmp_path):
         )
     strip = lambda p: [",".join(l.split(",")[:-1]) for l in p.read_text().splitlines()]
     assert strip(a) == strip(b)
+
+
+# sha256 prefixes of the CSV rows, time_ms column removed, of one bench run
+# per family (all three configs, both variants, --sat-seed 2, budgets 200
+# conflicts / 2000 decisions), recorded before the families shared one loop
+BENCH_DIGESTS = {
+    ("grid", "--layers", "2..7"): "2a6928851893a822",
+    ("randpeb", "--nodes", "6,10,14", "--seed", "3"): "65833075e431bc4f",
+    ("gtn", "--n", "3..6"): "df1690fba9464d6e",
+}
+
+
+def test_bench_golden_digests(tmp_path):
+    for (family, *params), digest in BENCH_DIGESTS.items():
+        path = tmp_path / f"{family}.csv"
+        args = [
+            "bench", "--family", family, *params,
+            "--configs", "dpll,cl_default,cl_sequence",
+            "--variants", "unsat,sat",
+            "--sat-seed", "2",
+            "--conflict-budget", "200",
+            "--decision-budget", "2000",
+            "--csv", str(path),
+            "--markdown", str(tmp_path / "ignore.md"),
+        ]
+        assert run(args) == 0
+        rows = [l.rsplit(",", 1)[0] for l in path.read_text().splitlines()]
+        got = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+        assert got == digest, family
 
 
 def test_cli_error_exit(tmp_path, capsys):

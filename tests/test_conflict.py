@@ -310,10 +310,11 @@ def _validate_graph(g):
                 assert p in g.preds  # predecessors are graph nodes
     # edges point forward in assignment order: acyclic, and every node can
     # reach a conflict literal (hence the sink)
-    succ = g.successors()
+    succ = {n: [] for n in g.nodes}
     for n in g.nodes:
         for p in g.preds[n]:
             assert g.position[p] < g.position[n]
+            succ[p].append(n)
     for n in g.nodes:
         stack, seen = [n], set()
         reachable = False

@@ -155,6 +155,14 @@ def test_make_satisfiable_deterministic():
     assert a.size == f.size - 1
 
 
+def test_make_satisfiable_rejects_pool_outside_formula():
+    f = CnfFormula(2, [(1,), (-1,), (2,)])
+    for pool in ([7], [-1], [0, 3]):
+        with pytest.raises(ValueError, match="outside the formula"):
+            make_satisfiable(f, 0, pool=pool)
+    assert make_satisfiable(f, 0, pool=[1]).size == 2
+
+
 def test_two_layer_sat_variant_has_model():
     f = pebbling_to_cnf(gen_grid(2))
     # delete the left source clause (x1 | x2): all-false on that node extends

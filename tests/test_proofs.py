@@ -331,14 +331,48 @@ NORMALIZE_DIGESTS = {
 }
 
 
+# sha256 prefixes of write_proof(proof) over normalize_corpus, that is of the
+# cl_to_res output itself, recorded before cl_to_res and normalize_refutation
+# shared one prune
+CL_TO_RES_DIGESTS = {
+    "grid2": "8bf4119c7ca4115d", "grid3": "0d5aa363895407ff", "grid4": "b440ec48eb6986af",
+    "grid5": "75f8133380648999", "grid6": "16889d9db4f82fff", "grid7": "2f005f36dd059007",
+    "grid8": "f387e2b431a82122", "grid9": "eca7fb4d026c617b", "grid10": "bad56f5b5b78cee1",
+    "gt3-decision": "d75b30793c82dcf3", "gt4-decision": "7e6b38607766702b", "gt5-decision": "b4067a3f1c5a59a9",
+    "peb1-decision": "66a5397e6d41cf8e", "peb2-decision": "99eca533ad19ac77", "peb3-decision": "4430c66a561e394d",
+    "peb4-decision": "0adee962b75aee13", "peb5-decision": "a03df5e2f0fea7db", "peb6-decision": "bfe0b33c260bf2fc",
+    "peb7-decision": "31f032278ffb9619", "peb8-decision": "a9aa5394f45b87cc", "peb9-decision": "07e899a3ffaa710f",
+    "peb10-decision": "fa4d4e8fb70cedd8", "peb11-decision": "e684ab090fd6d5ca", "peb12-decision": "eb8c1181c350b296",
+    "gt3-relsat": "d75b30793c82dcf3", "gt4-relsat": "bb873eedea1b4a86", "gt5-relsat": "efe5cabe1842b848",
+    "peb1-relsat": "05c6e647f562076e", "peb2-relsat": "a65c88ca208c5de7", "peb3-relsat": "92b82a3709d6d726",
+    "peb4-relsat": "dee0550846413d43", "peb5-relsat": "840b7b23cdec643f", "peb6-relsat": "f69cba933ff2155f",
+    "peb7-relsat": "179b76bfa9167f69", "peb8-relsat": "7bd6fdd46051a498", "peb9-relsat": "cc50341d0e5ac562",
+    "peb10-relsat": "a4baafe108ca5136", "peb11-relsat": "8140e9e9dd18996e", "peb12-relsat": "1d52cb2255a135df",
+    "gt3-first_new_cut": "d75b30793c82dcf3", "gt4-first_new_cut": "1eb78bd1f49eeab4", "gt5-first_new_cut": "8367e16ff2c58a89",
+    "peb1-first_new_cut": "7a0a03ba0139d315", "peb2-first_new_cut": "003f5fb07866bf70", "peb3-first_new_cut": "125ebd80dcb97eeb",
+    "peb4-first_new_cut": "e8703cfa410d8a04", "peb5-first_new_cut": "3e65c920fa2c1d42", "peb6-first_new_cut": "a86f2d25d7b13fe0",
+    "peb7-first_new_cut": "97b40269144dfbf2", "peb8-first_new_cut": "51124d3cd03aee5c", "peb9-first_new_cut": "525e825eb0d4e69d",
+    "peb10-first_new_cut": "b28ead77d6f39dcc", "peb11-first_new_cut": "9e85293fc85f5615", "peb12-first_new_cut": "675b067d763302d4",
+    "cnf1": "1949e3d43df27b73", "cnf3": "351384f850365a78", "cnf5": "9edd6110a4e1062a",
+    "cnf6": "36ff1338beecd6ff", "cnf8": "9abd686a01959771", "cnf9": "608535652652af16",
+    "cnf10": "71ade30599cb3c11", "cnf11": "10957d7bee77b3ca", "cnf14": "7feb1c0de7a4c926",
+    "cnf18": "eb2127412ef320a9", "cnf20": "75a6873b80088e3d", "cnf23": "e304ea00b0d47cdd",
+    "cnf24": "74bf937d01b0277f",
+}
+
+
 def test_normalize_golden_digests(normalize_corpus):
+    def digest(proof):
+        return hashlib.sha256(write_proof(proof).encode()).hexdigest()[:16]
+
     digests = {}
     changed = 0
     for name, proof in normalize_corpus.items():
         np = normalize_refutation(proof)
         assert check_res_refutation(np), name
         changed += np.steps != proof.steps
-        digests[name] = hashlib.sha256(write_proof(np).encode()).hexdigest()[:16]
+        digests[name] = digest(np)
+    assert {name: digest(p) for name, p in normalize_corpus.items()} == CL_TO_RES_DIGESTS
     assert digests == NORMALIZE_DIGESTS
     assert changed >= 20
 

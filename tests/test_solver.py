@@ -6,6 +6,7 @@ from clsat import (
     CnfFormula,
     Solver,
     SolverConfig,
+    canonical_literals,
     gen_grid,
     gen_gtn,
     gtn_var,
@@ -199,7 +200,9 @@ def test_restart_keeps_learned_clauses():
     assert r.stats.restarts >= 1
     assert r.stats.learned_clauses >= 1
     learned = [rec.clause for rec in r.records]
-    assert all(c in s.known for c in learned)
+    held = {canonical_literals(c) for c in s.clauses}
+    assert all(c in held for c in learned)
+    assert s.known is None  # only FirstNewCut keeps the known-clause set
 
 
 def test_config_validation():
