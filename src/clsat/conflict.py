@@ -31,7 +31,8 @@ class TrailState(Protocol):
 
     current_level: int
 
-    def reason_literals(self, var: int) -> tuple[int, ...] | None: ...
+    def reason_literals(self, var: int) -> tuple[int, ...] | None:
+        """The canonical clause that implied var, or None for a decision."""
 
     def var_level(self, var: int) -> int: ...
 
@@ -75,10 +76,8 @@ class TrivialDerivation:
 @dataclass(frozen=True)
 class LearnedClauseRecord:
     clause: tuple[int, ...]
-    cut: Cut
     derivation: TrivialDerivation
     scheme: str
-    conflict_index: int
     backjump_level: int = 0
     redundant: bool = False  # FirstNewCut fell back to an already-known clause
 
@@ -90,11 +89,12 @@ def build_conflict_graph(
 ) -> ConflictGraph:
     """Build the conflict graph for a falsified clause or a branch clash.
 
-    For a falsified clause, the latest-falsified literal becomes the virtual
-    conflict node, implied by the clause itself. For a clash (a branch that
-    contradicts the current value of its variable, possible only when
-    branching on assigned literals is allowed), the branched literal is a
-    reason-less source and the trail literal keeps its recorded reason.
+    For a falsified clause (canonical, like every antecedent), the
+    latest-falsified literal becomes the virtual conflict node, implied by
+    the clause itself. For a clash (a branch that contradicts the current
+    value of its variable, possible only when branching on assigned literals
+    is allowed), the branched literal is a reason-less source and the trail
+    literal keeps its recorded reason.
     """
     preds: dict[int, tuple[int, ...]] = {}
     antecedents: dict[int, tuple[int, ...] | None] = {}
@@ -120,7 +120,7 @@ def build_conflict_graph(
         lstar = lits[-1]
         conflict_var = abs(lstar)
         preds[lstar] = tuple(-x for x in lits if x != lstar)
-        antecedents[lstar] = tuple(conflicting)
+        antecedents[lstar] = conflicting
         level[lstar] = state.var_level(conflict_var)
         position[lstar] = _INF
         conflict_literals = (-lstar, lstar)
@@ -143,7 +143,6 @@ def build_conflict_graph(
             preds[node] = ()
             antecedents[node] = None
         else:
-            # antecedents are kept as stored; canonicalize only when emitting
             antecedents[node] = reason
             ps = tuple(-x for x in reason if x != node)
             preds[node] = ps
@@ -324,9 +323,9 @@ def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:
     base_node = side[0]
     if base_node not in g.conflict_literals:
         raise ValueError("latest conflict-side node is not a conflict literal")
-    if g.antecedents[base_node] is None:
+    base = g.antecedents[base_node]
+    if base is None:
         raise ValueError("conflict-side node has no antecedent")
-    base = canonical_literals(g.antecedents[base_node])
     running = set(base)
     steps: list[tuple[tuple[int, ...], int]] = []
     for y in side[1:]:
@@ -336,7 +335,7 @@ def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:
         if ant is None:
             raise ValueError("decision literal on the conflict side")
         running = (running - {-y}) | (set(ant) - {y})
-        steps.append((canonical_literals(ant), abs(y)))
+        steps.append((ant, abs(y)))
     result = canonical_literals(running)
     expected = cut_to_clause(g, cut)
     if result != expected:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import conflict as _ca
-from .conflict import ConflictGraph, Cut, LearnedClauseRecord, TrivialDerivation
+from .conflict import ConflictGraph, LearnedClauseRecord, TrivialDerivation
 from .formula import CnfFormula
 
 __all__ = [
@@ -170,7 +170,10 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        # watch-ordered literal lists (propagate permutes them in place) and,
+        # by the same index, each clause's canonical tuple
         self.clauses: list[list[int]] = []
+        self.canonical_clauses: list[tuple[int, ...]] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 2)]
         # canonical clauses held, input then learned; only FirstNewCut reads it
         self.known = formula.clause_set() if cfg.learning == "first_new_cut" else None
@@ -186,7 +189,7 @@ class Solver:
         self._pending_conflict: int | None = None
         self._finished = False
         for clause in formula.clauses:
-            self._add_clause(list(clause.literals), init=True)
+            self._add_clause(clause.literals, list(clause.literals), init=True)
 
     @staticmethod
     def _validate_config(cfg: SolverConfig) -> None:
@@ -211,7 +214,7 @@ class Solver:
 
     def reason_literals(self, var: int) -> tuple[int, ...] | None:
         ci = self.reasons[var]
-        return None if ci is None else tuple(self.clauses[ci])
+        return None if ci is None else self.canonical_clauses[ci]
 
     def var_level(self, var: int) -> int:
         return self.levels[var]
@@ -223,9 +226,11 @@ class Solver:
         return {v: self.values[v] > 0 for v in range(1, self.num_vars + 1)}
 
     # ------------------------------------------------------------- clause DB
-    def _add_clause(self, lits: list[int], init: bool) -> int:
+    def _add_clause(self, clause: tuple[int, ...], lits: list[int], init: bool) -> int:
+        """Store a canonical clause with its literals in watch order."""
         ci = len(self.clauses)
         self.clauses.append(lits)
+        self.canonical_clauses.append(clause)
         if len(lits) == 0:
             if self._pending_conflict is None:
                 self._pending_conflict = ci
@@ -341,8 +346,9 @@ class Solver:
     # -------------------------------------------------------------- branching
     def _next_decision(self):
         """Consume sequence entries (skipping assigned variables, unless the
-        assigned-branch mode turns a contradicting entry into a clash); fall
-        back to the activity heuristic when the sequence is exhausted.
+        assigned-branch mode turns an entry contradicting an implied literal
+        into a clash); fall back to the activity heuristic when the sequence
+        is exhausted.
 
         Returns ("decide", lit), ("fallback", lit), ("clash", lit) or
         ("restart", None).
@@ -359,9 +365,10 @@ class Solver:
             val = self.values[v]
             if val == 0:
                 return ("decide", -e)
-            if self.cfg.cl_minus_minus and self.lit_value(e) == 1:
+            implied = self.reasons[v] is not None
+            if self.cfg.cl_minus_minus and implied and self.lit_value(e) == 1:
                 return ("clash", -e)
-            # assigned (consistently, or plain mode): skip the entry
+            # assigned consistently, a decision, or plain mode: skip the entry
         if not self._activity_touched:
             v = self._low_free
             while self.values[v] != 0:
@@ -409,7 +416,7 @@ class Solver:
 
     # ------------------------------------------------------------- learning
     def _analyze_and_learn(self, confl: int | None, clash: int | None) -> None:
-        conflicting = tuple(self.clauses[confl]) if confl is not None else None
+        conflicting = self.canonical_clauses[confl] if confl is not None else None
         g = _ca.build_conflict_graph(self, conflicting, clash_decision=clash)
         if self.cfg.graph_sink is not None:
             self.cfg.graph_sink(g)
@@ -437,10 +444,8 @@ class Solver:
             self.records.append(
                 LearnedClauseRecord(
                     clause=clause,
-                    cut=cut,
                     derivation=derivation,
                     scheme=scheme,
-                    conflict_index=self.stats.conflicts,
                     backjump_level=backjump_level,
                     redundant=redundant,
                 )
@@ -465,7 +470,7 @@ class Solver:
             ordered = [assert_lit] + sorted(
                 (x for x in clause if x != assert_lit), key=lambda x: -g.level[-x]
             )
-            ci = self._add_clause(ordered, init=False)
+            ci = self._add_clause(clause, ordered, init=False)
             val = self.lit_value(assert_lit)
             if val == 0:
                 self._enqueue(assert_lit, ci)
@@ -476,7 +481,7 @@ class Solver:
         flip_of = next(n for n in g.decisions if g.level[n] == deepest)
         self.backjump(deepest - 1)
         ordered = sorted(clause, key=lambda x: -g.level[-x])
-        ci = self._add_clause(ordered, init=False)
+        ci = self._add_clause(clause, ordered, init=False)
         flip = -flip_of
         val = self.lit_value(flip)
         if val == 0:
@@ -486,33 +491,21 @@ class Solver:
             self._pending_conflict = ci
         return deepest - 1
 
-    def _final_record(self, confl: int | None) -> None:
-        if not self.cfg.log_proof or self.cfg.learning == "none":
+    def _final_record(self, confl: int) -> None:
+        if not self.cfg.log_proof:
             return
-        if confl is not None and len(self.clauses[confl]) == 0:
-            derivation = TrivialDerivation(base=(), steps=(), result=())
-            record = LearnedClauseRecord(
-                clause=(),
-                cut=Cut(frozenset()),
-                derivation=derivation,
-                scheme="final",
-                conflict_index=self.stats.conflicts,
-            )
-        else:
-            g = _ca.build_conflict_graph(self, tuple(self.clauses[confl]))
+        conflicting = self.canonical_clauses[confl]
+        if conflicting:
+            g = _ca.build_conflict_graph(self, conflicting)
             if self.cfg.graph_sink is not None:
                 self.cfg.graph_sink(g)
             # no decisions at level zero, so the decision cut's clause is empty
-            cut = _ca.scheme_decision(g)
-            derivation = _ca.extract_trivial_derivation(g, cut)
-            record = LearnedClauseRecord(
-                clause=derivation.result,
-                cut=cut,
-                derivation=derivation,
-                scheme="final",
-                conflict_index=self.stats.conflicts,
-            )
-        self.records.append(record)
+            derivation = _ca.extract_trivial_derivation(g, _ca.scheme_decision(g))
+        else:
+            derivation = TrivialDerivation(base=(), steps=(), result=())
+        self.records.append(
+            LearnedClauseRecord(clause=derivation.result, derivation=derivation, scheme="final")
+        )
 
     # ---------------------------------------------------------------- dpll
     def _chrono_backtrack(self) -> bool:

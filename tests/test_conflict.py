@@ -4,6 +4,7 @@ from clsat import (
     BranchingSequence,
     CnfFormula,
     SolverConfig,
+    canonical_literals,
     gen_grid,
     pebbling_to_cnf,
     solve,
@@ -291,8 +292,9 @@ def test_first_uip_clause_is_asserting():
 def _validate_graph(g):
     """The conflict-graph invariants: exactly one conflict variable (both
     polarities present), every non-decision node's predecessors are exactly
-    the falsified literals of a known antecedent containing the node, nodes
-    reach the sink, and the edge relation is acyclic."""
+    the falsified literals of a known antecedent containing the node, every
+    antecedent is canonical, nodes reach the sink, and the edge relation is
+    acyclic."""
     polarities = {}
     for n in g.nodes:
         polarities.setdefault(abs(n), set()).add(n > 0)
@@ -305,6 +307,7 @@ def _validate_graph(g):
         else:
             ant = g.antecedents[n]
             assert ant is not None and n in ant
+            assert ant == canonical_literals(ant)
             assert set(g.preds[n]) == {-x for x in ant if x != n}
             for p in g.preds[n]:
                 assert p in g.preds  # predecessors are graph nodes
@@ -347,5 +350,8 @@ def test_derivations_certify_all_schemes():
             f = random_3cnf(10, 40, seed=500 + seed)
             r = solve(f, SolverConfig(learning=learning))
             for rec in r.records or ():
-                assert rec.derivation.result == rec.clause
+                d = rec.derivation
+                assert d.result == rec.clause
+                for clause in (d.base, *(ant for ant, _ in d.steps)):
+                    assert clause == canonical_literals(clause)
                 assert check_trivial(derivation_to_proof(rec.derivation))

@@ -26,7 +26,7 @@ from clsat import (
     solve,
     write_proof,
 )
-from clsat.conflict import LearnedClauseRecord, TrivialDerivation, Cut
+from clsat.conflict import LearnedClauseRecord, TrivialDerivation
 from clsat.proofs import resolve_on
 from conftest import random_3cnf
 
@@ -155,10 +155,8 @@ def test_cl_to_res_rejects_unknown_clauses():
     f = CnfFormula(2, [(1,), (-1,)])
     rec = LearnedClauseRecord(
         clause=(),
-        cut=Cut(frozenset()),
         derivation=TrivialDerivation(base=(2,), steps=(((-2,), 2),), result=()),
         scheme="final",
-        conflict_index=1,
     )
     with pytest.raises(ValueError, match="unknown clause"):
         cl_to_res([rec], f)

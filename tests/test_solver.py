@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import astuple
+
 import pytest
 
 from clsat import (
@@ -6,9 +9,13 @@ from clsat import (
     CnfFormula,
     Solver,
     SolverConfig,
-    canonical_literals,
+    UnitPropagationChecker,
+    check_res_refutation,
+    cl_to_res,
     gen_grid,
     gen_gtn,
+    gen_random_pebbling,
+    gtn_seq,
     gtn_var,
     parse_sequence,
     peb_seq_1uip,
@@ -62,7 +69,7 @@ def test_gt3_guided_conflict_is_successor_clause():
     confl = s.propagate()
     assert confl is not None
     successor_j2 = tuple(sorted((gtn_var(1, 2, 3), gtn_var(3, 2, 3))))
-    assert tuple(sorted(s.clauses[confl])) == successor_j2
+    assert s.canonical_clauses[confl] == successor_j2
 
 
 def test_two_layer_grid_guided_solve():
@@ -139,6 +146,32 @@ def test_clmm_branch_on_true_literal_clashes():
     assert r.stats.decisions >= 1
 
 
+@pytest.mark.parametrize(
+    "graph_args", [None, (12, 4, 3, 4), (13, 4, 3, 5)], ids=["gt6", "randpeb12", "randpeb13"]
+)
+def test_clmm_entry_against_decision_is_skipped(graph_args):
+    # FirstNewCut under CL-- meets sequence entries whose variable is a
+    # decision of the other value: both conflict literals would be reason-less,
+    # so no cut exists and the entry is skipped instead of clashing
+    if graph_args is None:
+        f, seq = gen_gtn(6), gtn_seq(6)
+    else:
+        g = gen_random_pebbling(*graph_args)
+        f, seq = pebbling_to_cnf(g), peb_seq_1uip(g)
+    cfg = SolverConfig(
+        learning="first_new_cut", sequence=seq, cl_minus_minus=True, conflict_budget=300
+    )
+    r = solve(f, cfg)
+    assert r.is_unsat
+    assert check_res_refutation(cl_to_res(r.records, f))
+    chk = UnitPropagationChecker(f.num_vars)
+    for c in f.clauses:
+        chk.add_clause(c.literals)
+    for rec in r.records[:-1]:
+        assert chk.conflicts_when_all_false(rec.clause)
+        chk.add_clause(rec.clause)
+
+
 def test_clmm_branch_on_false_literal_is_noop():
     f = CnfFormula(3, [(-1,), (2, 3)])
     cfg = SolverConfig(
@@ -200,8 +233,7 @@ def test_restart_keeps_learned_clauses():
     assert r.stats.restarts >= 1
     assert r.stats.learned_clauses >= 1
     learned = [rec.clause for rec in r.records]
-    held = {canonical_literals(c) for c in s.clauses}
-    assert all(c in held for c in learned)
+    assert all(c in s.canonical_clauses for c in learned)
     assert s.known is None  # only FirstNewCut keeps the known-clause set
 
 
@@ -340,3 +372,59 @@ def test_solver_single_use():
     s.solve()
     with pytest.raises(RuntimeError):
         s.solve()
+
+
+def _record_digest(f, seq):
+    """sha256 prefix over status, stats and every record's clause, derivation,
+    scheme, backjump level and redundancy flag, for the four learning schemes
+    with CL-- off and on, without and (when given) with the sequence."""
+    h = hashlib.sha256()
+    for learning in ("decision", "relsat", "first_uip", "first_new_cut"):
+        for clmm in (False, True):
+            for s in (None, seq) if seq is not None else (None,):
+                cfg = SolverConfig(
+                    learning=learning, sequence=s, cl_minus_minus=clmm, conflict_budget=100
+                )
+                r = solve(f, cfg)
+                h.update(repr((r.status, astuple(r.stats))).encode())
+                for rec in r.records:
+                    fields = (rec.derivation, rec.scheme, rec.backjump_level, rec.redundant)
+                    h.update(repr((rec.clause, *fields)).encode())
+    return h.hexdigest()[:16]
+
+
+# _record_digest over guided grids 2-8, GT3-5, random pebbling graphs and
+# random 3-CNFs, recorded before records lost their cut and the solver kept
+# each canonical clause once
+RECORD_DIGESTS = {
+    "grid2": "dd1c3e55bfdecc87", "grid3": "2263dd53340b0a74", "grid4": "d84edbb4ab14fcb4",
+    "grid5": "7ea059f5f1fb3927", "grid6": "8988b6e33674f6a7", "grid7": "c2e98366607b2883",
+    "grid8": "7d50d71d3edad1da", "gt3": "7a50c3942fffc9d9", "gt4": "875c3ded403ed578",
+    "gt5": "42fdaa272be3f74f", "peb6": "bb63494b915edffe", "peb7": "7e844ca2bd459038",
+    "peb8": "d425596c3dee4b74", "peb9": "4afd4ed426e90b25", "peb10": "70edcfd24df44176",
+    "peb11": "4b7a557758b7f0bb", "peb12": "c63afa52e0a4b63b", "peb13": "c375eba587363742",
+    "peb14": "b5415b42238353cd", "peb15": "c070163bd7bb0d53", "cnf1": "d9888f89636def75",
+    "cnf2": "270fe47a604724c2", "cnf3": "8a450c837dd97091", "cnf4": "87df476218ee6fee",
+    "cnf5": "ccecf12d9fc5a9f5", "cnf6": "ca6b1911b9a0576d", "cnf7": "65520d0131d1bac6",
+    "cnf8": "69bf876fd49df4ee", "cnf9": "4c8160fbed15e021", "cnf10": "ebe958936cbd35d9",
+}
+
+
+def _record_cases():
+    cases = {}
+    for layers in range(2, 9):
+        g = gen_grid(layers)
+        cases[f"grid{layers}"] = (pebbling_to_cnf(g), peb_seq_1uip(g))
+    for n in (3, 4, 5):
+        cases[f"gt{n}"] = (gen_gtn(n), gtn_seq(n))
+    for seed in range(6, 16):
+        g = gen_random_pebbling(9, 3, 3, seed)
+        cases[f"peb{seed}"] = (pebbling_to_cnf(g), peb_seq_1uip(g))
+    for seed in range(1, 11):
+        cases[f"cnf{seed}"] = (random_3cnf(15, 66, seed), None)
+    return cases
+
+
+def test_record_golden_digests():
+    digests = {name: _record_digest(f, seq) for name, (f, seq) in _record_cases().items()}
+    assert digests == RECORD_DIGESTS
