@@ -247,25 +247,21 @@ def scheme_relsat(g: ConflictGraph) -> Cut:
 
 
 def minimize_cut(g: ConflictGraph, cut: Cut) -> Cut:
-    """Shrink a cut's clause: while some non-decision frontier node has all
-    its predecessors in the frontier, move it to the conflict side.
+    """Shrink a cut's clause: walk the frontier once, in descending trail
+    position, and move each non-decision node whose predecessors all lie in
+    the current frontier to the conflict side.
 
-    A frontier node with no predecessors at all (a literal implied by a known
-    unit clause) satisfies the condition vacuously and is absorbed.
+    One pass is enough: moving a node adds nothing to the frontier, so a node
+    that fails the test once fails it for good. A frontier node with no
+    predecessors at all (a literal implied by a known unit clause) satisfies
+    the condition vacuously and is absorbed.
     """
     side = set(cut.conflict_side)
-    s = frontier(g, Cut(frozenset(side)))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(s, key=lambda n: -g.position[n]):
-            if v in g.decisions:
-                continue
-            if all(p in s for p in g.preds[v]):
-                s.remove(v)
-                side.add(v)
-                changed = True
-                break
+    s = frontier(g, cut)
+    for v in sorted(s, key=lambda n: -g.position[n]):
+        if v not in g.decisions and all(p in s for p in g.preds[v]):
+            s.remove(v)
+            side.add(v)
     return Cut(frozenset(side))
 
 

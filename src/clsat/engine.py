@@ -185,6 +185,9 @@ class Solver:
         self._low_free = 1
         self._dpll_levels: list[tuple[int, bool]] = []  # (decision lit, flipped)
         self._seq = tuple(cfg.sequence.entries) if cfg.sequence else ()
+        for k, e in enumerate(self._seq, start=1):
+            if e is not RESTART and abs(e) > n:
+                raise ValueError(f"sequence entry {k} names unknown variable {abs(e)}")
         self._seq_pos = 0
         self._pending_conflict: int | None = None
         self._finished = False
@@ -360,8 +363,6 @@ class Solver:
             if e is RESTART:
                 return ("restart", None)
             v = abs(e)
-            if v > self.num_vars:
-                raise ValueError(f"sequence names unknown variable {v}")
             val = self.values[v]
             if val == 0:
                 return ("decide", -e)

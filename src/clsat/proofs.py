@@ -137,28 +137,14 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
 def derivation_to_proof(derivation) -> ResolutionProof:
     """Lift a trivial derivation into a standalone resolution proof whose
     formula consists of the known clauses the derivation uses, so it can be
-    checked with the generic checkers."""
-    used = [derivation.base, *(ant for ant, _ in derivation.steps)]
-    known = list(dict.fromkeys(used))  # first occurrences, in order
+    checked with the generic checkers. Raises ValueError when the chain does
+    not yield the derivation's result."""
+    # first occurrences, in order
+    known = dict.fromkeys([derivation.base, *(ant for ant, _ in derivation.steps)])
     num_vars = max((abs(l) for c in known for l in c), default=0)
     over = CnfFormula(num_vars, [Clause(c) for c in known])
     steps: list[ResolutionStep] = []
-    index: dict[tuple[int, ...], int] = {}
-
-    def initial(c: tuple[int, ...]) -> int:
-        if c not in index:
-            index[c] = len(steps)
-            steps.append(ResolutionStep(clause=c))
-        return index[c]
-
-    cur = initial(derivation.base)
-    cur_clause = derivation.base
-    for ant, pivot in derivation.steps:
-        ai = initial(ant)
-        res = resolve_on(cur_clause, ant, pivot)
-        steps.append(ResolutionStep(res, left=cur, right=ai, pivot=pivot))
-        cur = len(steps) - 1
-        cur_clause = res
+    _lift(derivation, steps, {}, known)
     return ResolutionProof(over, tuple(steps))
 
 
@@ -176,39 +162,44 @@ def cl_to_res(
         raise ValueError("log does not end in a level-zero conflict")
     steps: list[ResolutionStep] = []
     index: dict[tuple[int, ...], int] = {}
-    initial_set = formula.clause_set()
-    known_now = set(initial_set)
-
-    def step_for_known(c: tuple[int, ...]) -> int:
-        if c in index:
-            return index[c]
-        if c not in known_now:
-            raise ValueError(f"derivation references unknown clause {c}")
-        index[c] = len(steps)
-        steps.append(ResolutionStep(clause=c))
-        return index[c]
-
+    known = formula.clause_set()
     for rec in records:
-        d = rec.derivation
-        if d.result != rec.clause:
+        if rec.derivation.result != rec.clause:
             raise ValueError("record derivation does not yield the learned clause")
-        cur = step_for_known(d.base)
-        cur_clause = d.base
-        for ant, pivot in d.steps:
-            ai = step_for_known(ant)
-            res = resolve_on(cur_clause, ant, pivot)
-            if res in index:
-                cur = index[res]
-            else:
-                index[res] = len(steps)
-                steps.append(ResolutionStep(res, left=cur, right=ai, pivot=pivot))
-                cur = len(steps) - 1
-            cur_clause = res
-        known_now.add(rec.clause)
-
+        _lift(rec.derivation, steps, index, known)
+        known.add(rec.clause)
     if () not in index:
         raise ValueError("log never derives the empty clause")
     return ResolutionProof(formula, _prune(steps, index[()]))
+
+
+def _lift(derivation, steps, index, known) -> None:
+    """Append the resolution steps of one trivial derivation to `steps`.
+
+    `index` maps each clause already in `steps` to its step, and the chain
+    reuses it: a used clause becomes an initial step once, and only if it is
+    in `known`; a resolvent is added once. Raises ValueError when the chain
+    does not end in `derivation.result`.
+    """
+    clause = derivation.base
+    for ant, pivot in ((derivation.base, None), *derivation.steps):
+        if ant not in index:
+            if ant not in known:
+                raise ValueError(f"derivation references unknown clause {ant}")
+            index[ant] = len(steps)
+            steps.append(ResolutionStep(clause=ant))
+        if pivot is None:  # the base
+            cur = index[ant]
+            continue
+        clause = resolve_on(clause, ant, pivot)
+        if clause not in index:
+            index[clause] = len(steps)
+            steps.append(ResolutionStep(clause, cur, index[ant], pivot))
+        cur = index[clause]
+    if clause != derivation.result:
+        raise ValueError(
+            f"derivation chain yields {clause} but claims {derivation.result}"
+        )
 
 
 def _prune(steps: Sequence[ResolutionStep], root: int) -> tuple[ResolutionStep, ...]:
@@ -242,11 +233,15 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     """Simplify a refutation so no derived clause has a derivable strict
     subclause among resolvents of earlier step pairs.
 
-    Repeatedly: recompute resolvents bottom-up (a step whose pivot vanished
-    collapses onto its surviving antecedent), alias duplicate clauses and
-    clauses subsumed by an earlier step, and replace a derived clause by any
-    strict subclause obtainable by resolving two earlier steps. Finally prune
-    steps unused by the empty clause.
+    In one pass over the steps: recompute resolvents (a step whose pivot
+    vanished collapses onto its surviving antecedent), alias duplicate
+    clauses and clauses subsumed by an earlier step, and replace a derived
+    clause by any strict subclause obtainable by resolving two earlier steps.
+    Then prune steps unused by the empty clause.
+
+    One pass is a fixpoint: each step it emits was checked against exactly
+    the steps emitted before it, so a second pass would emit every step
+    unchanged (docs/DECISIONS.md).
 
     Both searches read one overlap count per emitted clause: how many of its
     literals each earlier step shares. By the time the pair search runs, no
@@ -255,77 +250,69 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     The first match in step order is kept, which makes the output
     independent of how candidates are found.
     """
-    cur = list(proof.steps)
-    for _ in range(len(cur) + 2):
-        out: list[ResolutionStep] = []
-        alias: dict[int, int] = {}
-        by_clause: dict[tuple[int, ...], int] = {}
-        by_literal: dict[int, list[int]] = {}
-        units: list[int] = []
+    out: list[ResolutionStep] = []
+    alias: dict[int, int] = {}
+    by_clause: dict[tuple[int, ...], int] = {}
+    by_literal: dict[int, list[int]] = {}
+    units: list[int] = []
 
-        def emit(step: ResolutionStep, old_idx: int) -> None:
-            clause = step.clause
-            if clause in by_clause:
-                alias[old_idx] = by_clause[clause]
+    def emit(step: ResolutionStep, old_idx: int) -> None:
+        clause = step.clause
+        if clause in by_clause:
+            alias[old_idx] = by_clause[clause]
+            return
+        # literals shared with `clause`, per earlier step sharing any;
+        # clauses are canonical, so a step whose count equals its length
+        # is a subclause
+        count = Counter(
+            chain.from_iterable(by_literal.get(lit, ()) for lit in clause)
+        )
+        # an earlier strictly smaller clause subsumes this one
+        smaller = _find_subsuming(out, count, clause)
+        if smaller is not None:
+            alias[old_idx] = smaller
+            return
+        if not step.is_initial:
+            shrunk = _find_pair_shrink(out, units, count, clause)
+            if shrunk is not None:
+                emit(shrunk, old_idx)
                 return
-            # literals shared with `clause`, per earlier step sharing any;
-            # clauses are canonical, so a step whose count equals its length
-            # is a subclause
-            count = Counter(
-                chain.from_iterable(by_literal.get(lit, ()) for lit in clause)
-            )
-            # an earlier strictly smaller clause subsumes this one
-            smaller = _find_subsuming(out, count, clause)
-            if smaller is not None:
-                alias[old_idx] = smaller
-                return
-            if not step.is_initial:
-                shrunk = _find_pair_shrink(out, units, count, clause)
-                if shrunk is not None:
-                    emit(shrunk, old_idx)
-                    return
-            new_idx = len(out)
-            out.append(step)
-            by_clause[clause] = new_idx
-            for lit in clause:
-                by_literal.setdefault(lit, []).append(new_idx)
-            if len(clause) == 1:
-                units.append(new_idx)
-            alias[old_idx] = new_idx
+        new_idx = len(out)
+        out.append(step)
+        by_clause[clause] = new_idx
+        for lit in clause:
+            by_literal.setdefault(lit, []).append(new_idx)
+        if len(clause) == 1:
+            units.append(new_idx)
+        alias[old_idx] = new_idx
 
-        for idx, step in enumerate(cur):
-            if step.is_initial:
-                emit(step, idx)
-                continue
-            l, r, piv = alias[step.left], alias[step.right], step.pivot
-            lc, rc = out[l].clause, out[r].clause
-            has_l = piv in lc or -piv in lc
-            has_r = piv in rc or -piv in rc
-            if not has_l:
-                alias[idx] = l
-                continue
-            if not has_r:
-                alias[idx] = r
-                continue
-            try:
-                res = resolve_on(lc, rc, piv)
-            except ValueError:
-                # shrinkage made the step tautological/degenerate: keep the
-                # smaller antecedent
-                alias[idx] = l if len(lc) <= len(rc) else r
-                continue
-            emit(ResolutionStep(res, l, r, piv), idx)
+    for idx, step in enumerate(proof.steps):
+        if step.is_initial:
+            emit(step, idx)
+            continue
+        l, r, piv = alias[step.left], alias[step.right], step.pivot
+        lc, rc = out[l].clause, out[r].clause
+        has_l = piv in lc or -piv in lc
+        has_r = piv in rc or -piv in rc
+        if not has_l:
+            alias[idx] = l
+            continue
+        if not has_r:
+            alias[idx] = r
+            continue
+        try:
+            res = resolve_on(lc, rc, piv)
+        except ValueError:
+            # shrinkage made the step tautological/degenerate: keep the
+            # smaller antecedent
+            alias[idx] = l if len(lc) <= len(rc) else r
+            continue
+        emit(ResolutionStep(res, l, r, piv), idx)
 
-        if out == cur:
-            break
-        cur = out
-    else:
-        raise RuntimeError("proof normalization did not converge")
-
-    root = next((i for i, st in enumerate(cur) if st.clause == ()), None)
+    root = next((i for i, st in enumerate(out) if st.clause == ()), None)
     if root is None:
         raise ValueError("normalization lost the empty clause")
-    return ResolutionProof(proof.over, _prune(cur, root))
+    return ResolutionProof(proof.over, _prune(out, root))
 
 
 def _find_subsuming(out, count, clause) -> int | None:

@@ -250,3 +250,13 @@ def test_cli_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n2 0\n")
     assert run(["solve", str(bad)]) == 1
+
+
+def test_solve_sequence_with_unknown_variable(tmp_path, capsys):
+    cnf = tmp_path / "u.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    seq = tmp_path / "u.seq"
+    seq.write_text("5\n")
+    assert run(["solve", str(cnf), "--sequence", str(seq)]) == 1
+    err = capsys.readouterr().err
+    assert "error: sequence entry 1 names unknown variable 5" in err

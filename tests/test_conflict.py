@@ -6,6 +6,7 @@ from clsat import (
     SolverConfig,
     canonical_literals,
     gen_grid,
+    peb_seq_1uip,
     pebbling_to_cnf,
     solve,
 )
@@ -355,3 +356,30 @@ def test_derivations_certify_all_schemes():
                 for clause in (d.base, *(ant for ant, _ in d.steps)):
                     assert clause == canonical_literals(clause)
                 assert check_trivial(derivation_to_proof(rec.derivation))
+
+
+def test_minimized_frontier_has_no_absorbable_node():
+    # minimize_cut walks the frontier once; no non-decision node it leaves
+    # there may have all of its predecessors in that frontier
+    cases = [(random_3cnf(12, 50, seed=800 + seed), None) for seed in range(10)]
+    for layers in (5, 7):
+        g = gen_grid(layers)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    checked = 0
+    for f, seq in cases:
+        sink = []
+        cfg = SolverConfig(learning="first_new_cut", sequence=seq, graph_sink=sink.append)
+        r = solve(f, cfg)
+        known = f.clause_set()
+        for g, rec in zip(sink, r.records):
+            if rec.scheme == "final":
+                continue
+            cut, _ = scheme_first_new_cut(g, known)
+            assert cut_to_clause(g, cut) == rec.clause
+            known.add(rec.clause)
+            for c in (cut, minimize_cut(g, scheme_first_uip(g))):
+                s = frontier(g, c)
+                for v in s - g.decisions:
+                    assert not all(p in s for p in g.preds[v]), v
+            checked += 1
+    assert checked >= 50

@@ -27,7 +27,7 @@ from clsat import (
     write_proof,
 )
 from clsat.conflict import LearnedClauseRecord, TrivialDerivation
-from clsat.proofs import resolve_on
+from clsat.proofs import derivation_to_proof, resolve_on
 from conftest import random_3cnf
 
 
@@ -160,6 +160,26 @@ def test_cl_to_res_rejects_unknown_clauses():
     )
     with pytest.raises(ValueError, match="unknown clause"):
         cl_to_res([rec], f)
+
+
+# the chain resolves (1 2) with (-2 3) on 2, which yields (1 3), not (1)
+MISCLAIMED = TrivialDerivation(base=(1, 2), steps=(((-2, 3), 2),), result=(1,))
+
+
+def test_derivation_to_proof_rejects_chain_not_ending_in_result():
+    with pytest.raises(ValueError, match=r"yields \(1, 3\) but claims \(1,\)"):
+        derivation_to_proof(MISCLAIMED)
+
+
+def test_cl_to_res_rejects_chain_not_ending_in_record_clause():
+    f = CnfFormula(3, [(1, 2), (-2, 3), (-1,), (-3,)])
+    final = TrivialDerivation(base=(1,), steps=(((-1,), 1),), result=())
+    records = [
+        LearnedClauseRecord(clause=(1,), derivation=MISCLAIMED, scheme="first_uip"),
+        LearnedClauseRecord(clause=(), derivation=final, scheme="final"),
+    ]
+    with pytest.raises(ValueError, match=r"yields \(1, 3\) but claims \(1,\)"):
+        cl_to_res(records, f)
 
 
 def test_cl_to_res_requires_level_zero_end():
@@ -373,6 +393,12 @@ def test_normalize_golden_digests(normalize_corpus):
     assert {name: digest(p) for name, p in normalize_corpus.items()} == CL_TO_RES_DIGESTS
     assert digests == NORMALIZE_DIGESTS
     assert changed >= 20
+
+
+def test_normalize_is_a_fixpoint(normalize_corpus):
+    for name, proof in normalize_corpus.items():
+        np = normalize_refutation(proof)
+        assert normalize_refutation(np).steps == np.steps, name
 
 
 def test_normalize_pair_shrink(normalize_corpus):

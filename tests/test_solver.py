@@ -12,6 +12,7 @@ from clsat import (
     UnitPropagationChecker,
     check_res_refutation,
     cl_to_res,
+    derivation_to_proof,
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
@@ -22,6 +23,7 @@ from clsat import (
     pebbling_to_cnf,
     satisfies,
     solve,
+    write_proof,
     write_sequence,
 )
 from conftest import brute_force_satisfiable, random_3cnf, reference_dpll
@@ -122,7 +124,16 @@ def test_sequence_skips_assigned_variable():
     f = CnfFormula(3, [(1,), (2, 3)])
     r = solve(f, SolverConfig(sequence=BranchingSequence((1, 2))))
     assert r.is_sat
-    assert r.model()[2] is False if callable(getattr(r, "model", None)) else True
+    assert r.model[2] is False
+
+
+def test_sequence_variables_checked_before_search():
+    # entry 2 is out of range although the search would stop before it, and
+    # the unsatisfiable formula needs no decision at all
+    with pytest.raises(ValueError, match="sequence entry 2 names unknown variable 7"):
+        solve(CnfFormula(2, [(1, 2)]), SolverConfig(sequence=BranchingSequence((-1, 7))))
+    with pytest.raises(ValueError, match="sequence entry 1 names unknown variable 5"):
+        solve(CnfFormula(1, [(1,), (-1,)]), SolverConfig(sequence=BranchingSequence((5,))))
 
 
 def test_sequence_skip_and_branch_order():
@@ -374,22 +385,27 @@ def test_solver_single_use():
         s.solve()
 
 
-def _record_digest(f, seq):
-    """sha256 prefix over status, stats and every record's clause, derivation,
-    scheme, backjump level and redundancy flag, for the four learning schemes
-    with CL-- off and on, without and (when given) with the sequence."""
-    h = hashlib.sha256()
+def _record_runs(f, seq):
+    """Solve f under the four learning schemes with CL-- off and on, without
+    and (when given) with the sequence, conflict budget 100."""
     for learning in ("decision", "relsat", "first_uip", "first_new_cut"):
         for clmm in (False, True):
             for s in (None, seq) if seq is not None else (None,):
                 cfg = SolverConfig(
                     learning=learning, sequence=s, cl_minus_minus=clmm, conflict_budget=100
                 )
-                r = solve(f, cfg)
-                h.update(repr((r.status, astuple(r.stats))).encode())
-                for rec in r.records:
-                    fields = (rec.derivation, rec.scheme, rec.backjump_level, rec.redundant)
-                    h.update(repr((rec.clause, *fields)).encode())
+                yield solve(f, cfg)
+
+
+def _record_digest(f, seq):
+    """sha256 prefix over status, stats and every record's clause, derivation,
+    scheme, backjump level and redundancy flag, over _record_runs."""
+    h = hashlib.sha256()
+    for r in _record_runs(f, seq):
+        h.update(repr((r.status, astuple(r.stats))).encode())
+        for rec in r.records:
+            fields = (rec.derivation, rec.scheme, rec.backjump_level, rec.redundant)
+            h.update(repr((rec.clause, *fields)).encode())
     return h.hexdigest()[:16]
 
 
@@ -428,3 +444,36 @@ def _record_cases():
 def test_record_golden_digests():
     digests = {name: _record_digest(f, seq) for name, (f, seq) in _record_cases().items()}
     assert digests == RECORD_DIGESTS
+
+
+def _derivation_proof_digest(f, seq):
+    """sha256 prefix over write_proof(derivation_to_proof(...)) of every
+    record's derivation, over _record_runs."""
+    h = hashlib.sha256()
+    for r in _record_runs(f, seq):
+        for rec in r.records:
+            h.update(write_proof(derivation_to_proof(rec.derivation)).encode())
+    return h.hexdigest()[:16]
+
+
+# _derivation_proof_digest over the _record_cases corpus, recorded before the
+# proof builders shared one derivation lift
+DERIVATION_PROOF_DIGESTS = {
+    "grid2": "f32649f004f6a271", "grid3": "9e62d920be83d1b9", "grid4": "7861e657b1299590",
+    "grid5": "b59be89406443cce", "grid6": "7d508de764e6bcde", "grid7": "8ad7212acb50eab5",
+    "grid8": "31cedcd0a67ff764", "gt3": "09408cb2ee083689", "gt4": "2b7ba3c975a08678",
+    "gt5": "76b65d243428d915", "peb6": "7d2b27302607e2fa", "peb7": "f0091fe612639e55",
+    "peb8": "19c878031e9a8c1d", "peb9": "71202168bac38fd5", "peb10": "49b75b1079a2f442",
+    "peb11": "a57cdc82d8a96ca2", "peb12": "93d865aef4ef1386", "peb13": "5da11d28d07bc91c",
+    "peb14": "c3340c74152a0317", "peb15": "6ae39022182f5f33", "cnf1": "29dbe3f978ae911b",
+    "cnf2": "e3b0c44298fc1c14", "cnf3": "a13ebab200dac41b", "cnf4": "951d76216810b6a4",
+    "cnf5": "ea33e6ea961e9747", "cnf6": "744d71233cfd65c0", "cnf7": "87631c986c4add03",
+    "cnf8": "8a0956079381908a", "cnf9": "51cf850d15d0ace2", "cnf10": "e2e4b04f4fbd4157",
+}
+
+
+def test_derivation_proof_golden_digests():
+    digests = {
+        name: _derivation_proof_digest(f, seq) for name, (f, seq) in _record_cases().items()
+    }
+    assert digests == DERIVATION_PROOF_DIGESTS
