@@ -39,9 +39,26 @@ class TrailState(Protocol):
     def var_position(self, var: int) -> int: ...
 
 
+class TrailArrays(TrailState, Protocol):
+    """The trail itself and its per-variable arrays, read by `first_uip_cut`."""
+
+    trail: list[int]
+    levels: list[int]
+    positions: list[int]
+
+
 @dataclass(frozen=True)
 class ConflictGraph:
-    nodes: tuple[int, ...]  # all node literals, in trail order (virtual node last)
+    """A conflict graph, whole or partial.
+
+    `build_conflict_graph` builds the whole graph: every node that feeds the
+    conflict. `first_uip_cut` builds only what its cut reads: the conflict
+    side, whose nodes carry their predecessors, and the frontier, whose nodes
+    carry empty `preds`. The engine learns first-UIP clauses from the partial
+    graph; `graph_sink` always receives whole graphs.
+    """
+
+    nodes: tuple[int, ...]  # node literals, in trail order (virtual node last)
     preds: dict[int, tuple[int, ...]]
     antecedents: dict[int, tuple[int, ...] | None]  # None exactly for decisions
     decisions: frozenset[int]
@@ -160,6 +177,114 @@ def build_conflict_graph(
         position=position,
         conflict_level=state.current_level,
     )
+
+
+def first_uip_cut(
+    state: TrailArrays,
+    conflicting: tuple[int, ...] | None = None,
+    clash_decision: int | None = None,
+) -> tuple[ConflictGraph, Cut]:
+    """The first-UIP cut from one backward walk over the trail (Zhang et al.,
+    ICCAD 2001), without building the whole conflict graph.
+
+    Marked conflict-level nodes are expanded in descending trail position
+    until one remains, the UIP. Marked literals of lower positive levels are
+    frontier leaves. Marked level-0 literals join the conflict side and their
+    antecedents are followed too, because the derivation resolves them away;
+    that closure does not depend on the order it is taken in. Returns the
+    partial graph (conflict side plus frontier, see `ConflictGraph`) and the
+    cut. On it, `cut_to_clause` and `extract_trivial_derivation` give what
+    they give for `scheme_first_uip` on the whole graph.
+    """
+    trail, levels, positions = state.trail, state.levels, state.positions
+    reason_of = state.reason_literals
+    lvl = state.current_level
+    preds: dict[int, tuple[int, ...]] = {}
+    antecedents: dict[int, tuple[int, ...] | None] = {}
+    level: dict[int, int] = {}
+    position: dict[int, float] = {}
+    side: set[int] = set()
+    seen: set[int] = set()  # variables
+    at_level = 0  # marked conflict-level nodes the walk has not reached yet
+    level_zero: list[int] = []  # marked level-0 nodes not yet expanded
+
+    def expand(node: int, ant: tuple[int, ...]) -> None:
+        nonlocal at_level
+        side.add(node)
+        antecedents[node] = ant
+        ps = preds[node] = tuple(-x for x in ant if x != node)
+        for p in ps:
+            v = abs(p)
+            if v in seen:
+                continue
+            seen.add(v)
+            lv = level[p] = levels[v]
+            position[p] = positions[v]
+            if lv == lvl:
+                at_level += 1
+            elif lv == 0:
+                level_zero.append(p)
+            else:
+                antecedents[p], preds[p] = reason_of(v), ()
+
+    if clash_decision is not None:
+        # the branch is the only conflict-level node, so it is the UIP, and
+        # the trail literal it contradicts crosses to the conflict side
+        uip = clash_decision
+        v = abs(uip)
+        ant = reason_of(v)
+        if ant is None:
+            raise ValueError("cannot analyze a clash between two decisions")
+        conflict_literals = (-uip, uip)
+        seen.add(v)
+        level[uip], position[uip], antecedents[uip], preds[uip] = lvl, _INF, None, ()
+        level[-uip], position[-uip] = levels[v], positions[v]
+        expand(-uip, ant)
+    elif conflicting:
+        lstar = max(conflicting, key=lambda l: positions[abs(l)])
+        v = abs(lstar)
+        if lvl == 0 or levels[v] != lvl:
+            raise ValueError("conflict has no node at the conflict level")
+        conflict_literals = (-lstar, lstar)
+        seen.add(v)
+        level[lstar], position[lstar] = lvl, _INF
+        level[-lstar], position[-lstar] = lvl, positions[v]
+        at_level = 1  # the trail literal -lstar
+        expand(lstar, conflicting)
+        i = positions[v]
+        while True:
+            node = trail[i]
+            i -= 1
+            u = abs(node)
+            if u not in seen:
+                continue
+            at_level -= 1
+            ant = reason_of(u)
+            if at_level == 0 or ant is None:
+                uip = node
+                antecedents[node], preds[node] = ant, ()
+                break
+            expand(node, ant)
+    else:
+        raise ValueError("need a nonempty conflicting clause or a clash literal")
+
+    while level_zero:
+        node = level_zero.pop()
+        expand(node, reason_of(abs(node)))
+
+    nodes = tuple(sorted(level, key=position.__getitem__))
+    g = ConflictGraph(
+        nodes=nodes,
+        preds=preds,
+        antecedents=antecedents,
+        decisions=frozenset(n for n in nodes if antecedents[n] is None),
+        conflict_var=abs(conflict_literals[1]),
+        conflict_literals=conflict_literals,
+        level=level,
+        position=position,
+        conflict_level=lvl,
+    )
+    return g, Cut(frozenset(side))
 
 
 def frontier(g: ConflictGraph, cut: Cut) -> set[int]:

@@ -418,19 +418,24 @@ class Solver:
     # ------------------------------------------------------------- learning
     def _analyze_and_learn(self, confl: int | None, clash: int | None) -> None:
         conflicting = self.canonical_clauses[confl] if confl is not None else None
-        g = _ca.build_conflict_graph(self, conflicting, clash_decision=clash)
-        if self.cfg.graph_sink is not None:
-            self.cfg.graph_sink(g)
+        sink = self.cfg.graph_sink
         scheme = self.cfg.learning
         redundant = False
         if scheme == "first_uip":
-            cut = _ca.scheme_first_uip(g)
-        elif scheme == "decision":
-            cut = _ca.scheme_decision(g)
-        elif scheme == "relsat":
-            cut = _ca.scheme_relsat(g)
+            # the trail walk builds only the nodes the cut reads
+            g, cut = _ca.first_uip_cut(self, conflicting, clash_decision=clash)
+            if sink is not None:
+                sink(_ca.build_conflict_graph(self, conflicting, clash_decision=clash))
         else:
-            cut, redundant = _ca.scheme_first_new_cut(g, self.known)
+            g = _ca.build_conflict_graph(self, conflicting, clash_decision=clash)
+            if sink is not None:
+                sink(g)
+            if scheme == "decision":
+                cut = _ca.scheme_decision(g)
+            elif scheme == "relsat":
+                cut = _ca.scheme_relsat(g)
+            else:
+                cut, redundant = _ca.scheme_first_new_cut(g, self.known)
         clause = _ca.cut_to_clause(g, cut)
         derivation = _ca.extract_trivial_derivation(g, cut)
         self._bump(clause)

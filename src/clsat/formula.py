@@ -88,7 +88,8 @@ class Clause:
         return not self.literals
 
     def max_var(self) -> int:
-        return max((abs(l) for l in self.literals), default=0)
+        # canonical order is by variable, so the last literal has the largest
+        return abs(self.literals[-1]) if self.literals else 0
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@ from clsat import (
     SolverConfig,
     canonical_literals,
     gen_grid,
+    gen_gtn,
+    gen_random_pebbling,
+    gtn_seq,
     peb_seq_1uip,
     pebbling_to_cnf,
     solve,
 )
+from clsat import conflict
 from clsat.conflict import (
     Cut,
     build_conflict_graph,
@@ -383,3 +387,50 @@ def test_minimized_frontier_has_no_absorbable_node():
                     assert not all(p in s for p in g.preds[v]), v
             checked += 1
     assert checked >= 50
+
+
+def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
+    # the engine learns first-UIP clauses from the trail walk's partial
+    # graph; scheme_first_uip on the whole graph from graph_sink is the oracle
+    walks = []
+    walk = conflict.first_uip_cut
+
+    def recording_walk(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(conflict, "first_uip_cut", recording_walk)
+    cases = [(random_3cnf(12, 50, seed=900 + seed), None) for seed in range(8)]
+    for seed in range(4):
+        g = gen_random_pebbling(10, 3, 3, seed)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    for n in range(3, 7):
+        cases.append((gen_gtn(n), gtn_seq(n)))
+    for layers in range(2, 9):
+        g = gen_grid(layers)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    checked = clashes = 0
+    for f, seq in cases:
+        for sequence in (None,) if seq is None else (None, seq):
+            for clmm in (False, True):
+                walks.clear()
+                sink = []
+                cfg = SolverConfig(
+                    sequence=sequence, cl_minus_minus=clmm, graph_sink=sink.append
+                )
+                r = solve(f, cfg)
+                recs = [rec for rec in r.records if rec.scheme == "first_uip"]
+                assert len(walks) == len(recs) and len(sink) >= len(recs)
+                for (wg, wcut), whole, rec in zip(walks, sink, recs):
+                    cut = scheme_first_uip(whole)
+                    assert rec.clause == cut_to_clause(whole, cut)
+                    assert rec.derivation == extract_trivial_derivation(whole, cut)
+                    assert wcut.conflict_side <= cut.conflict_side
+                    assert wg.conflict_literals == whole.conflict_literals
+                    for n in wg.nodes:
+                        assert wg.level[n] == whole.level[n]
+                        assert wg.position[n] == whole.position[n]
+                        assert wg.antecedents[n] == whole.antecedents[n]
+                    clashes += whole.conflict_literals[1] in whole.decisions
+                    checked += 1
+    assert checked >= 1000 and clashes >= 1

@@ -30,13 +30,16 @@ def test_clause_canonical_form():
 
 
 def test_canonical_order_is_variable_then_sign():
-    assert canonical_literals((5, -5)) if False else True
+    with pytest.raises(ValueError):
+        canonical_literals((5, -5))
     assert canonical_literals((3, -2, 1)) == (1, -2, 3)
 
 
 def test_formula_rejects_out_of_range_literal():
     with pytest.raises(ValueError):
         CnfFormula(2, [(1, 3)])
+    with pytest.raises(ValueError):
+        CnfFormula(2, [(-3,)])
 
 
 def test_parse_dimacs_basic():
