@@ -28,15 +28,32 @@ def canonical_literals(literals: Iterable[int]) -> tuple[int, ...]:
     """Sorted, deduplicated literal tuple.
 
     Rejects the literal 0 and complementary pairs (tautological clauses).
-    The canonical order is by variable index, negative literal first, so two
-    clauses are equal as sets iff their canonical tuples are equal.
+    The canonical order is by variable index, so two clauses are equal as
+    sets iff their canonical tuples are equal. Sorting by variable alone is
+    enough: a clause that passes has one literal per variable, and a
+    complementary pair, in either order, ends up adjacent. A tuple of ints
+    that is already canonical (variables strictly increasing from 1) passes
+    that check in one pass and is returned as it is.
     """
-    lits = sorted({int(l) for l in literals}, key=lambda l: (abs(l), l))
+    if type(literals) is tuple:
+        prev = 0
+        for l in literals:
+            if type(l) is not int:
+                break
+            v = l if l > 0 else -l
+            if v <= prev:
+                break
+            prev = v
+        else:
+            return literals
+    lits = sorted(set(map(int, literals)), key=abs)
     if lits and lits[0] == 0:
         raise ValueError("0 is not a literal")
     for a, b in zip(lits, lits[1:]):
         if a == -b:
-            raise ValueError(f"tautological clause: contains both {a} and {b}")
+            raise ValueError(
+                f"tautological clause: contains both {min(a, b)} and {max(a, b)}"
+            )
     return tuple(lits)
 
 

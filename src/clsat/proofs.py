@@ -65,8 +65,63 @@ class CheckResult:
 
 
 def resolve_on(a: Iterable[int], b: Iterable[int], pivot: int) -> tuple[int, ...]:
-    """Resolvent of two clauses on a pivot variable; raises if the pivot does
-    not occur with opposite polarities or the result is tautological."""
+    """Resolvent of two clauses on a pivot variable.
+
+    Returns the canonical tuple of the literals of `a` and `b` other than
+    `pivot` and `-pivot`. Raises ValueError when the pivot does not occur
+    with opposite polarities in the two clauses (checked first), and then
+    when the resolvent would contain 0 or a complementary pair. A negative
+    pivot resolves on its variable.
+
+    For two canonical tuples (the only form the proof builders and the
+    checker pass) with a positive pivot, the resolvent is one linear merge.
+    Every other input, and every error, takes the set path, which
+    canonicalises (docs/DECISIONS.md, "Resolution merges canonical tuples").
+    """
+    if type(a) is tuple and type(b) is tuple:
+        # merge by variable; every literal taken must have a larger variable
+        # than the one before, which holds exactly for canonical inputs
+        out = []
+        na, nb = len(a), len(b)
+        i = j = prev = 0
+        found = False
+        while i < na and j < nb:
+            x, y = a[i], b[j]
+            vx = x if x > 0 else -x
+            vy = y if y > 0 else -y
+            if vx <= prev or vy <= prev:
+                break
+            if vx < vy:
+                out.append(x)
+                prev = vx
+                i += 1
+            elif vy < vx:
+                out.append(y)
+                prev = vy
+                j += 1
+            elif x == y:
+                out.append(x)
+                prev = vx
+                i += 1
+                j += 1
+            elif vx == pivot:
+                found = True
+                prev = vx
+                i += 1
+                j += 1
+            else:  # a clash off the pivot: the set path raises
+                break
+        else:
+            if found:
+                rest = a[i:] if i < na else b[j:]
+                for x in rest:
+                    vx = x if x > 0 else -x
+                    if vx <= prev:
+                        break
+                    prev = vx
+                else:
+                    out.extend(rest)
+                    return tuple(out)
     sa, sb = set(a), set(b)
     if not ((pivot in sa and -pivot in sb) or (-pivot in sa and pivot in sb)):
         raise ValueError(f"variable {pivot} is not a pivot of these clauses")
@@ -77,7 +132,8 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
     """Validate every step and that the final clause is empty.
 
     Reports the first failing step: an initial clause missing from the
-    formula, a bad pivot, or a wrong resolvent.
+    formula, a bad pivot (not a variable, or not in both antecedents with
+    opposite polarities), or a wrong resolvent.
     """
     over = proof.over.clause_set()
     for i, st in enumerate(proof.steps):
@@ -93,7 +149,7 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
             return CheckResult(False, i, "antecedent does not precede the step")
         lc = proof.steps[st.left].clause
         rc = proof.steps[st.right].clause
-        if not (
+        if st.pivot <= 0 or not (
             (st.pivot in lc and -st.pivot in rc)
             or (-st.pivot in lc and st.pivot in rc)
         ):
@@ -141,8 +197,8 @@ def derivation_to_proof(derivation) -> ResolutionProof:
     not yield the derivation's result."""
     # first occurrences, in order
     known = dict.fromkeys([derivation.base, *(ant for ant, _ in derivation.steps)])
-    num_vars = max((abs(l) for c in known for l in c), default=0)
-    over = CnfFormula(num_vars, [Clause(c) for c in known])
+    clauses = [Clause(c) for c in known]
+    over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
     steps: list[ResolutionStep] = []
     _lift(derivation, steps, {}, known)
     return ResolutionProof(over, tuple(steps))
@@ -182,20 +238,25 @@ def _lift(derivation, steps, index, known) -> None:
     does not end in `derivation.result`.
     """
     clause = derivation.base
-    for ant, pivot in ((derivation.base, None), *derivation.steps):
-        if ant not in index:
+    cur = index.get(clause)
+    if cur is None:
+        if clause not in known:
+            raise ValueError(f"derivation references unknown clause {clause}")
+        cur = index[clause] = len(steps)
+        steps.append(ResolutionStep(clause))
+    for ant, pivot in derivation.steps:
+        right = index.get(ant)
+        if right is None:
             if ant not in known:
                 raise ValueError(f"derivation references unknown clause {ant}")
-            index[ant] = len(steps)
-            steps.append(ResolutionStep(clause=ant))
-        if pivot is None:  # the base
-            cur = index[ant]
-            continue
+            right = index[ant] = len(steps)
+            steps.append(ResolutionStep(ant))
         clause = resolve_on(clause, ant, pivot)
-        if clause not in index:
-            index[clause] = len(steps)
-            steps.append(ResolutionStep(clause, cur, index[ant], pivot))
-        cur = index[clause]
+        left = cur
+        cur = index.get(clause)
+        if cur is None:
+            cur = index[clause] = len(steps)
+            steps.append(ResolutionStep(clause, left, right, pivot))
     if clause != derivation.result:
         raise ValueError(
             f"derivation chain yields {clause} but claims {derivation.result}"
@@ -545,17 +606,15 @@ class UnitPropagationChecker:
         self.qhead = 0
         self.base_conflict = False
 
-    def _value(self, lit: int) -> int:
-        v = self.values[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _assign(self, lit: int) -> None:
-        self.values[abs(lit)] = 1 if lit > 0 else -1
-        self.trail.append(lit)
-
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause at the base level (no assumptions may be active)."""
+        """Add a clause at the base level (no assumptions may be active).
+
+        After a base conflict every query conflicts, so the clause is not
+        needed (and propagation may have stopped with literals queued)."""
+        if self.base_conflict:
+            return
         assert self.qhead == len(self.trail), "add_clause during assumptions"
+        values = self.values
         cl = list(lits)
         if not cl:
             self.base_conflict = True
@@ -563,90 +622,106 @@ class UnitPropagationChecker:
             return
         if len(cl) == 1:
             self.clauses.append(cl)
-            val = self._value(cl[0])
+            lit = cl[0]
+            val = values[lit] if lit > 0 else -values[-lit]
             if val == -1:
                 self.base_conflict = True
             elif val == 0:
-                self._assign(cl[0])
+                values[abs(lit)] = 1 if lit > 0 else -1
+                self.trail.append(lit)
                 if self._propagate():
                     self.base_conflict = True
             return
         # watch two non-false literals so the invariant holds under the
-        # current base assignment
-        cl.sort(key=lambda l: self._value(l), reverse=True)
+        # current base assignment: true literals first, then unassigned, in
+        # clause order
+        false: list[int] = []
+        unassigned: list[int] = []
+        true: list[int] = []
+        by_value = (false, unassigned, true)
+        for lit in cl:
+            by_value[(values[lit] if lit > 0 else -values[-lit]) + 1].append(lit)
+        cl = true + unassigned + false
         ci = len(self.clauses)
         self.clauses.append(cl)
         self.watches[_widx(cl[0])].append(ci)
         self.watches[_widx(cl[1])].append(ci)
-        if any(self._value(l) == 1 for l in cl):
+        if true:
             return
-        unassigned = [l for l in cl if self._value(l) == 0]
         if not unassigned:
             self.base_conflict = True
         elif len(unassigned) == 1:
-            self._assign(unassigned[0])
+            lit = unassigned[0]
+            values[abs(lit)] = 1 if lit > 0 else -1
+            self.trail.append(lit)
             if self._propagate():
                 self.base_conflict = True
 
     def _propagate(self) -> bool:
         """Propagate to fixpoint; True on conflict."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            wl = self.watches[_widx(neg)]
+        values, trail, watches, clauses = self.values, self.trail, self.watches, self.clauses
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            wl = watches[_widx(neg)]
             i = j = 0
             n = len(wl)
             while i < n:
                 ci = wl[i]
                 i += 1
-                cl = self.clauses[ci]
+                cl = clauses[ci]
                 if cl[0] == neg:
                     cl[0], cl[1] = cl[1], cl[0]
-                if self._value(cl[0]) == 1:
+                first = cl[0]
+                val = values[first] if first > 0 else -values[-first]
+                if val == 1:
                     wl[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) != -1:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches[_widx(cl[1])].append(ci)
-                        moved = True
+                    lk = cl[k]
+                    if (values[lk] if lk > 0 else -values[-lk]) != -1:
+                        cl[1], cl[k] = lk, cl[1]
+                        watches[_widx(lk)].append(ci)
                         break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
-                if self._value(cl[0]) == -1:
-                    while i < n:
-                        wl[j] = wl[i]
-                        i += 1
-                        j += 1
-                    del wl[j:]
-                    return True
-                self._assign(cl[0])
+                else:
+                    wl[j] = ci
+                    j += 1
+                    if val == -1:
+                        while i < n:
+                            wl[j] = wl[i]
+                            i += 1
+                            j += 1
+                        del wl[j:]
+                        self.qhead = qhead
+                        return True
+                    values[abs(first)] = 1 if first > 0 else -1
+                    trail.append(first)
             del wl[j:]
+        self.qhead = qhead
         return False
 
     def conflicts_when_all_false(self, lits: Iterable[int]) -> bool:
         """Assume every given literal false, propagate, undo; report conflict."""
         if self.base_conflict:
             return True
-        mark = len(self.trail)
+        values, trail = self.values, self.trail
+        mark = len(trail)
         conflict = False
         for l in lits:
-            val = self._value(l)
+            val = values[l] if l > 0 else -values[-l]
             if val == 1:
                 conflict = True
                 break
             if val == 0:
-                self._assign(-l)
+                values[abs(l)] = -1 if l > 0 else 1
+                trail.append(-l)
         if not conflict:
             conflict = self._propagate()
-        for pos in range(len(self.trail) - 1, mark - 1, -1):
-            self.values[abs(self.trail[pos])] = 0
-        del self.trail[mark:]
+        for pos in range(len(trail) - 1, mark - 1, -1):
+            values[abs(trail[pos])] = 0
+        del trail[mark:]
         self.qhead = mark
         return conflict
 
@@ -686,6 +761,8 @@ def parse_proof(text: str, over: CnfFormula) -> ResolutionProof:
                 body = [int(t) for t in parts[4:]]
                 if not body or body[-1] != 0:
                     raise ValueError("missing terminator")
+                if pivot <= 0:
+                    raise ValueError(f"pivot {pivot} is not a variable")
                 if not (0 <= left < len(steps) and 0 <= right < len(steps)):
                     raise ValueError("step reference out of range")
                 steps.append(

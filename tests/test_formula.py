@@ -30,9 +30,21 @@ def test_clause_canonical_form():
 
 
 def test_canonical_order_is_variable_then_sign():
-    with pytest.raises(ValueError):
-        canonical_literals((5, -5))
+    for taut in ((5, -5), (-5, 5), (5, 2, -5)):
+        with pytest.raises(ValueError, match="contains both -5 and 5"):
+            canonical_literals(taut)
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        canonical_literals((3, 0, -1))
     assert canonical_literals((3, -2, 1)) == (1, -2, 3)
+
+
+def test_canonical_tuple_is_returned_as_is():
+    # an already-canonical tuple of ints comes back as it is; anything else
+    # is rebuilt from int()
+    c = (1, -2, 3)
+    assert canonical_literals(c) is c
+    assert canonical_literals(("3", "-2", "1")) == (1, -2, 3)
+    assert canonical_literals([1, -2, 3]) == c
 
 
 def test_formula_rejects_out_of_range_literal():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -54,6 +55,19 @@ def test_check_res_refutation_bad_pivot():
     )
     chk = check_res_refutation(ResolutionProof(f, steps))
     assert not chk and chk.step == 2 and "pivot" in chk.reason
+
+
+def test_check_res_refutation_rejects_non_positive_pivot():
+    # a pivot is a variable: -1 names the same variable as 1 but is no pivot
+    f = CnfFormula(1, [(1,), (-1,)])
+    for pivot in (-1, 0):
+        steps = (
+            ResolutionStep((1,)),
+            ResolutionStep((-1,)),
+            ResolutionStep((), 0, 1, pivot),
+        )
+        chk = check_res_refutation(ResolutionProof(f, steps))
+        assert not chk and chk.step == 2 and chk.reason == "bad pivot"
 
 
 def test_check_res_refutation_wrong_resolvent_and_missing_initial():
@@ -122,6 +136,79 @@ def test_resolve_on():
         resolve_on((1, 2), (2, 3), 2)
     with pytest.raises(ValueError):
         resolve_on((1, 2), (-2, -1), 2)  # tautological result
+
+
+def _reference_resolve_on(a, b, pivot):
+    """The set-based resolve_on that the merge replaced, with its
+    canonicalisation inlined so the reference depends on no clsat code."""
+    sa, sb = set(a), set(b)
+    if not ((pivot in sa and -pivot in sb) or (-pivot in sa and pivot in sb)):
+        raise ValueError(f"variable {pivot} is not a pivot of these clauses")
+    lits = sorted(
+        {int(l) for l in (sa | sb) - {pivot, -pivot}}, key=lambda l: (abs(l), l)
+    )
+    if lits and lits[0] == 0:
+        raise ValueError("0 is not a literal")
+    for x, y in zip(lits, lits[1:]):
+        if x == -y:
+            raise ValueError(f"tautological clause: contains both {x} and {y}")
+    return tuple(lits)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def test_resolve_on_matches_set_reference():
+    rng = random.Random(20261018)
+
+    def clause(nvars):
+        return tuple(
+            v if rng.random() < 0.5 else -v
+            for v in sorted(rng.sample(range(1, nvars + 1), rng.randint(0, nvars)))
+        )
+
+    cases = []
+    for _ in range(4000):
+        n = rng.randint(1, 9)
+        a, b = clause(n), clause(n)
+        p = rng.randint(1, n)
+        kind = rng.random()
+        if kind < 0.6:  # force a proper pivot
+            s = rng.choice((1, -1))
+            a = tuple(sorted({*(l for l in a if abs(l) != p), s * p}, key=abs))
+            b = tuple(sorted({*(l for l in b if abs(l) != p), -s * p}, key=abs))
+        cases.append((a, b, p))
+    cases += [
+        ((1, 2), (-2, 3), 2),
+        ((2, 1), (3, -2), 2),  # non-canonical order
+        ((1, 1, 2), (-2, 3, 3), 2),  # duplicates
+        ([1, 2], [-2, 3], 2),  # lists
+        ({1, 2}, {-2, 3}, 2),  # sets
+        ((1, 2), (-2, 3), -2),  # negative pivot
+        ((1, -2), (2, 3), -2),
+        ((1, 2), (2, 3), 2),  # same polarity on both sides
+        ((-1, -2), (-2, 3), 2),
+        ((1, 3), (-2, 4), 2),  # pivot missing from one side
+        ((1,), (3,), 2),  # missing from both
+        ((), (), 1),
+        ((1, 2), (-2, -1), 2),  # tautological resolvent
+        ((-1, 2), (1, -2), 2),
+        ((-1, 2), (1, -2), 1),
+        ((1, -3, 2), (-2, 3), 2),  # tautological, non-canonical input
+        ((2, -2), (-2,), 2),  # tautological input on the pivot
+        ((1, -1, 2), (3,), 2),  # tautological input, no pivot
+        ((0, 2), (-2,), 2),  # 0 is not a literal
+        ((2,), (-2,), 0),
+        ((2,), (-2,), 2),  # empty resolvent
+        ((-5, 7), (5, -7), 5),
+    ]
+    for a, b, p in cases:
+        want = _outcome(_reference_resolve_on, a, b, p)
+        assert _outcome(resolve_on, a, b, p) == want, (a, b, p)
 
 
 def test_cl_to_res_zero_learned():
@@ -460,6 +547,15 @@ def test_grid20_trace_extension_and_replay_scale():
     assert elapsed < 2.0, elapsed
 
 
+def test_unit_propagation_checker_adds_after_base_conflict():
+    # propagating the unit (1) conflicts with 2 still queued; a later clause
+    # must not trip the no-assumptions check
+    chk = UnitPropagationChecker(3)
+    for cl in ([-1, 2], [-1, -2], [1], [3]):
+        chk.add_clause(cl)
+    assert chk.base_conflict and chk.conflicts_when_all_false([-3])
+
+
 def test_unit_propagation_checker():
     chk = UnitPropagationChecker(4)
     chk.add_clause([1, 2])
@@ -475,6 +571,56 @@ def test_unit_propagation_checker():
     chk.add_clause([-2])
     assert chk.base_conflict  # base now propagates to a conflict
     assert chk.conflicts_when_all_false([4]) is True
+
+
+def _naive_up_conflict(clauses, assumed_false):
+    """Fixpoint unit propagation without watches: True iff assuming every
+    literal of `assumed_false` false and propagating `clauses` conflicts."""
+    value: dict[int, bool] = {}
+    for l in assumed_false:
+        if value.get(abs(l)) == (l > 0):
+            return True
+        value[abs(l)] = l < 0
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if any(value.get(abs(l)) == (l > 0) for l in cl):
+                continue
+            free = [l for l in cl if abs(l) not in value]
+            if not free:
+                return True
+            if len(free) == 1:
+                value[abs(free[0])] = free[0] > 0
+                changed = True
+    return False
+
+
+def test_unit_propagation_checker_matches_naive_propagation():
+    rng = random.Random(97)
+    checked = conflicts = base_conflicts = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        chk = UnitPropagationChecker(n)
+        added: list[tuple[int, ...]] = []
+        for _ in range(rng.randint(1, 14)):
+            width = rng.choice((0, 1, 1, 2, 2, 3, 3, 4)) if rng.random() < 0.97 else 0
+            vs = rng.sample(range(1, n + 1), min(width, n))
+            cl = tuple(v if rng.random() < 0.5 else -v for v in vs)
+            chk.add_clause(cl)
+            added.append(cl)
+            for _ in range(4):
+                vs = rng.sample(range(1, n + 1), rng.randint(0, n))
+                query = [v if rng.random() < 0.5 else -v for v in vs]
+                got = chk.conflicts_when_all_false(query)
+                assert got == _naive_up_conflict(added, query), (added, query)
+                checked += 1
+                conflicts += got
+            if chk.base_conflict:  # adding past it: the test above
+                base_conflicts += 1
+                break
+    # the corpus reaches every branch: conflicts, non-conflicts, base conflicts
+    assert 0 < conflicts < checked and base_conflicts > 20
 
 
 def test_prop3_roundtrip_small():
@@ -505,3 +651,8 @@ def test_proof_text_roundtrip():
         parse_proof("q 1 0\n", f)
     with pytest.raises(ValueError, match="line 1"):
         parse_proof("r 5 6 1 0\n", f)
+    f1 = CnfFormula(1, [(1,), (-1,)])
+    for pivot in ("-1", "0"):
+        with pytest.raises(ValueError, match="line 4: .*pivot"):
+            parse_proof(f"i 1 0\ni -1 0\n\nr 1 2 {pivot} 0\n", f1)
+    assert check_res_refutation(parse_proof("i 1 0\ni -1 0\nr 1 2 1 0\n", f1))
