@@ -51,15 +51,20 @@ def _read(path: str) -> str:
 
 
 def _parse_range(spec: str) -> list[int]:
-    """Parse "a..b" (inclusive) or a comma-separated list of integers."""
+    """Parse a comma-separated list of integers and "a..b" ranges (inclusive,
+    a <= b). Raises ValueError on a descending range or an empty spec."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(".."))
+            if lo > hi:
+                raise ValueError(f"descending range {part!r} in {spec!r}")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
+    if not out:
+        raise ValueError(f"no values in range {spec!r}")
     return out
 
 

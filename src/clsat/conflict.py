@@ -27,39 +27,32 @@ _INF = math.inf
 
 
 class TrailState(Protocol):
-    """What conflict analysis needs to know about a solver's trail."""
+    """What conflict analysis reads of a solver: the trail and, by variable,
+    the level and trail position of each assigned literal."""
 
     current_level: int
-
-    def reason_literals(self, var: int) -> tuple[int, ...] | None:
-        """The canonical clause that implied var, or None for a decision."""
-
-    def var_level(self, var: int) -> int: ...
-
-    def var_position(self, var: int) -> int: ...
-
-
-class TrailArrays(TrailState, Protocol):
-    """The trail itself and its per-variable arrays, read by `first_uip_cut`."""
-
     trail: list[int]
     levels: list[int]
     positions: list[int]
+
+    def reason_literals(self, var: int) -> tuple[int, ...] | None:
+        """The canonical clause that implied var, or None for a decision."""
 
 
 @dataclass(frozen=True)
 class ConflictGraph:
     """A conflict graph, whole or partial.
 
-    `build_conflict_graph` builds the whole graph: every node that feeds the
-    conflict. `first_uip_cut` builds only what its cut reads: the conflict
-    side, whose nodes carry their predecessors, and the frontier, whose nodes
-    carry empty `preds`. The engine learns first-UIP clauses from the partial
-    graph; `graph_sink` always receives whole graphs.
+    Both come from one backward walk over the trail. `build_conflict_graph`
+    builds the whole graph: every node that feeds the conflict.
+    `first_uip_cut` builds only what its cut reads: the conflict side, whose
+    nodes carry their predecessors, and the frontier, whose nodes carry empty
+    `preds`. The engine learns first-UIP clauses from the partial graph;
+    `graph_sink` always receives whole graphs.
     """
 
     nodes: tuple[int, ...]  # node literals, in trail order (virtual node last)
-    preds: dict[int, tuple[int, ...]]
+    preds: dict[int, tuple[int, ...]]  # in the canonical order of the antecedent
     antecedents: dict[int, tuple[int, ...] | None]  # None exactly for decisions
     decisions: frozenset[int]
     conflict_var: int
@@ -104,83 +97,21 @@ def build_conflict_graph(
     conflicting: tuple[int, ...] | None = None,
     clash_decision: int | None = None,
 ) -> ConflictGraph:
-    """Build the conflict graph for a falsified clause or a branch clash.
+    """Build the whole conflict graph for a falsified clause or a branch clash.
 
     For a falsified clause (canonical, like every antecedent), the
     latest-falsified literal becomes the virtual conflict node, implied by
     the clause itself. For a clash (a branch that contradicts the current
     value of its variable, possible only when branching on assigned literals
     is allowed), the branched literal is a reason-less source and the trail
-    literal keeps its recorded reason.
+    literal keeps its recorded reason. Every implied node is expanded, so
+    the graph holds every node that feeds the conflict.
     """
-    preds: dict[int, tuple[int, ...]] = {}
-    antecedents: dict[int, tuple[int, ...] | None] = {}
-    decisions: set[int] = set()
-    level: dict[int, int] = {}
-    position: dict[int, float] = {}
-
-    if clash_decision is not None:
-        d = clash_decision
-        v = abs(d)
-        if state.reason_literals(v) is None:
-            raise ValueError("cannot analyze a clash between two decisions")
-        preds[d] = ()
-        antecedents[d] = None
-        decisions.add(d)
-        level[d] = state.current_level
-        position[d] = _INF
-        conflict_var = v
-        conflict_literals = (-d, d)
-        pending = [-d]
-    elif conflicting is not None and len(conflicting) > 0:
-        lits = sorted(conflicting, key=lambda l: state.var_position(abs(l)))
-        lstar = lits[-1]
-        conflict_var = abs(lstar)
-        preds[lstar] = tuple(-x for x in lits if x != lstar)
-        antecedents[lstar] = conflicting
-        level[lstar] = state.var_level(conflict_var)
-        position[lstar] = _INF
-        conflict_literals = (-lstar, lstar)
-        pending = [-x for x in lits]
-    else:
-        raise ValueError("need a nonempty conflicting clause or a clash literal")
-
-    seen = set(preds)
-    while pending:
-        node = pending.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        v = abs(node)
-        level[node] = state.var_level(v)
-        position[node] = state.var_position(v)
-        reason = state.reason_literals(v)
-        if reason is None:
-            decisions.add(node)
-            preds[node] = ()
-            antecedents[node] = None
-        else:
-            antecedents[node] = reason
-            ps = tuple(-x for x in reason if x != node)
-            preds[node] = ps
-            pending.extend(p for p in ps if p not in seen)
-
-    nodes = tuple(sorted(seen, key=lambda n: position[n]))
-    return ConflictGraph(
-        nodes=nodes,
-        preds=preds,
-        antecedents=antecedents,
-        decisions=frozenset(decisions),
-        conflict_var=conflict_var,
-        conflict_literals=conflict_literals,
-        level=level,
-        position=position,
-        conflict_level=state.current_level,
-    )
+    return _walk(state, conflicting, clash_decision, True)[0]
 
 
 def first_uip_cut(
-    state: TrailArrays,
+    state: TrailState,
     conflicting: tuple[int, ...] | None = None,
     clash_decision: int | None = None,
 ) -> tuple[ConflictGraph, Cut]:
@@ -196,6 +127,21 @@ def first_uip_cut(
     cut. On it, `cut_to_clause` and `extract_trivial_derivation` give what
     they give for `scheme_first_uip` on the whole graph.
     """
+    g, side = _walk(state, conflicting, clash_decision, False)
+    return g, Cut(frozenset(side))
+
+
+def _walk(
+    state: TrailState,
+    conflicting: tuple[int, ...] | None,
+    clash_decision: int | None,
+    whole: bool,
+) -> tuple[ConflictGraph, set[int]]:
+    """The backward trail walk behind both builders: marked conflict-level
+    nodes in descending trail position, then a stack for the marked nodes
+    below the conflict level. With `whole` it expands every implied node;
+    without it, it works as `first_uip_cut` says. Returns the graph and the
+    expanded nodes (for first-UIP, the cut's conflict side)."""
     trail, levels, positions = state.trail, state.levels, state.positions
     reason_of = state.reason_literals
     lvl = state.current_level
@@ -206,12 +152,15 @@ def first_uip_cut(
     side: set[int] = set()
     seen: set[int] = set()  # variables
     at_level = 0  # marked conflict-level nodes the walk has not reached yet
-    level_zero: list[int] = []  # marked level-0 nodes not yet expanded
+    lower: list[int] = []  # marked nodes below the conflict level to expand
 
-    def expand(node: int, ant: tuple[int, ...]) -> None:
+    def expand(node: int, ant: tuple[int, ...] | None) -> None:
         nonlocal at_level
-        side.add(node)
         antecedents[node] = ant
+        if ant is None:  # a decision
+            preds[node] = ()
+            return
+        side.add(node)
         ps = preds[node] = tuple(-x for x in ant if x != node)
         for p in ps:
             v = abs(p)
@@ -222,8 +171,8 @@ def first_uip_cut(
             position[p] = positions[v]
             if lv == lvl:
                 at_level += 1
-            elif lv == 0:
-                level_zero.append(p)
+            elif whole or lv == 0:
+                lower.append(p)
             else:
                 antecedents[p], preds[p] = reason_of(v), ()
 
@@ -241,9 +190,11 @@ def first_uip_cut(
         level[-uip], position[-uip] = levels[v], positions[v]
         expand(-uip, ant)
     elif conflicting:
+        # the engine meets every conflict at the level of its latest-falsified
+        # literal (docs/DECISIONS.md, "One walk builds every conflict graph")
         lstar = max(conflicting, key=lambda l: positions[abs(l)])
         v = abs(lstar)
-        if lvl == 0 or levels[v] != lvl:
+        if levels[v] != lvl or (lvl == 0 and not whole):
             raise ValueError("conflict has no node at the conflict level")
         conflict_literals = (-lstar, lstar)
         seen.add(v)
@@ -252,24 +203,22 @@ def first_uip_cut(
         at_level = 1  # the trail literal -lstar
         expand(lstar, conflicting)
         i = positions[v]
-        while True:
+        while at_level:
             node = trail[i]
             i -= 1
             u = abs(node)
             if u not in seen:
                 continue
             at_level -= 1
-            ant = reason_of(u)
-            if at_level == 0 or ant is None:
-                uip = node
-                antecedents[node], preds[node] = ant, ()
-                break
-            expand(node, ant)
+            if whole or at_level:
+                expand(node, reason_of(u))
+            else:  # the first UIP
+                antecedents[node], preds[node] = reason_of(u), ()
     else:
         raise ValueError("need a nonempty conflicting clause or a clash literal")
 
-    while level_zero:
-        node = level_zero.pop()
+    while lower:
+        node = lower.pop()
         expand(node, reason_of(abs(node)))
 
     nodes = tuple(sorted(level, key=position.__getitem__))
@@ -284,7 +233,7 @@ def first_uip_cut(
         position=position,
         conflict_level=lvl,
     )
-    return g, Cut(frozenset(side))
+    return g, side
 
 
 def frontier(g: ConflictGraph, cut: Cut) -> set[int]:

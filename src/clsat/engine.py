@@ -219,12 +219,6 @@ class Solver:
         ci = self.reasons[var]
         return None if ci is None else self.canonical_clauses[ci]
 
-    def var_level(self, var: int) -> int:
-        return self.levels[var]
-
-    def var_position(self, var: int) -> int:
-        return self.positions[var]
-
     def model(self) -> dict[int, bool]:
         return {v: self.values[v] > 0 for v in range(1, self.num_vars + 1)}
 

@@ -166,19 +166,25 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
 
 
 def check_trivial(proof: ResolutionProof) -> CheckResult:
-    """Check the trivial-derivation shape: distinct pivots, and every
-    resolvent resolves the previous resolvent (or, for the first one, an
-    initial step) against an initial step."""
+    """Check the trivial-derivation shape: every resolvent has two earlier
+    antecedents and a pivot, pivots are distinct, and every resolvent
+    resolves the previous resolvent (or, for the first one, an initial step)
+    against an initial step."""
+    initial = [st.left is None for st in proof.steps]
     pivots: set[int] = set()
     prev_resolvent: int | None = None
     for i, st in enumerate(proof.steps):
-        if st.is_initial:
+        if initial[i]:
             continue
+        if st.right is None or st.pivot is None:
+            return CheckResult(False, i, "resolvent step missing antecedents")
+        if not (0 <= st.left < i and 0 <= st.right < i):
+            return CheckResult(False, i, "antecedent does not precede the step")
         if st.pivot in pivots:
             return CheckResult(False, i, "duplicate pivot")
         pivots.add(st.pivot)
-        left_init = proof.steps[st.left].is_initial
-        right_init = proof.steps[st.right].is_initial
+        left_init = initial[st.left]
+        right_init = initial[st.right]
         if not (left_init or right_init):
             return CheckResult(False, i, "both antecedents are derived")
         for side, is_init in ((st.left, left_init), (st.right, right_init)):

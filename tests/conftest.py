@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from clsat import Clause, CnfFormula
+from clsat import RESTART, BranchingSequence, Clause, CnfFormula
 
 
 def brute_force_satisfiable(formula: CnfFormula) -> bool:
@@ -78,3 +78,16 @@ def random_3cnf(num_vars: int, num_clauses: int, seed: int) -> CnfFormula:
             seen.add(t)
             clauses.append(t)
     return CnfFormula(num_vars, [Clause(c) for c in clauses])
+
+
+def random_sequence(num_vars: int, length: int, seed: int) -> BranchingSequence:
+    """A seeded branching sequence of random literals over 1..num_vars, with
+    about one restart marker in seven entries (for the assigned-branch mode)."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(length):
+        if rng.random() < 0.15:
+            entries.append(RESTART)
+        else:
+            entries.append(rng.choice((1, -1)) * rng.randint(1, num_vars))
+    return BranchingSequence(tuple(entries))

@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
-from clsat import parse_dimacs, parse_sequence
+from clsat import parse_dimacs, parse_sequence, write_dimacs
 from clsat.bench import CSV_HEADER
 from clsat.cli import main
+from conftest import random_3cnf
 
 
 def run(args):
@@ -140,6 +141,27 @@ def test_solve_dump_graphs(tmp_path):
     assert "edge 1 2" in text
 
 
+def test_dump_graphs_edges_follow_antecedent_order(tmp_path):
+    # the edges into a node are its antecedent's other literals, negated, in
+    # the antecedent's canonical (variable) order; for the virtual conflict
+    # node that antecedent is the conflicting clause
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(write_dimacs(random_3cnf(8, 34, seed=905)))
+    dump = tmp_path / "graphs.txt"
+    run(["solve", str(cnf), "--dump-graphs", str(dump)])
+    conflicts = dump.read_text().split("# conflict ")[1:]
+    assert len(conflicts) >= 3
+    for block in conflicts:
+        into = {}
+        for line in block.splitlines():
+            if line.startswith("edge ") and not line.endswith(" conflict"):
+                p, n = map(int, line.split()[1:])
+                into.setdefault(n, []).append(abs(p))
+        assert into
+        for n, variables in into.items():
+            assert variables == sorted(variables), (block.split()[0], n)
+
+
 def test_bench_csv_and_markdown(tmp_path):
     csv_path = tmp_path / "rows.csv"
     md_path = tmp_path / "rows.md"
@@ -250,6 +272,19 @@ def test_cli_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n2 0\n")
     assert run(["solve", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "option", [("--layers", "5..3"), ("--layers", ""), ("--layers", "2,4..3"), ("--n", ",")]
+)
+def test_bench_rejects_empty_range(tmp_path, capsys, option):
+    family = "grid" if option[0] == "--layers" else "gtn"
+    md = tmp_path / "t.md"
+    args = ["bench", "--family", family, *option, "--markdown", str(md)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(option[1]) in err
+    assert not md.exists()
 
 
 def test_solve_sequence_with_unknown_variable(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import fields
 
 from clsat import (
     BranchingSequence,
@@ -15,6 +17,7 @@ from clsat import (
 )
 from clsat import conflict
 from clsat.conflict import (
+    ConflictGraph,
     Cut,
     build_conflict_graph,
     cut_is_valid,
@@ -28,7 +31,7 @@ from clsat.conflict import (
     scheme_relsat,
 )
 from clsat.proofs import check_trivial, derivation_to_proof
-from conftest import random_3cnf
+from conftest import random_3cnf, random_sequence
 
 
 def pqr_graph():
@@ -157,18 +160,13 @@ def test_level_zero_conflict_graph_has_no_decisions():
 def test_clash_graph():
     class FakeState:
         current_level = 2
+        trail = [1, 2]
+        levels = [0, 0, 0]
+        positions = [0, 0, 1]
         _rsn = {1: (1,), 2: (-1, 2)}
-        _lvl = {1: 0, 2: 0}
-        _pos = {1: 0, 2: 1}
 
         def reason_literals(self, v):
             return self._rsn[v]
-
-        def var_level(self, v):
-            return self._lvl[v]
-
-        def var_position(self, v):
-            return self._pos[v]
 
     g = build_conflict_graph(FakeState(), clash_decision=-2)
     assert g.conflict_var == 2
@@ -181,18 +179,13 @@ def test_first_new_cut_trace_conflict():
     # both conflict literals on the conflict side yields (A|B)
     class FakeState:
         current_level = 3
+        trail = [-1, -2, -3, 4]
+        levels = [0, 1, 2, 3, 3]
+        positions = [0, 0, 1, 2, 3]
         _rsn = {1: None, 2: None, 3: None, 4: (1, 2, 4)}
-        _lvl = {1: 1, 2: 2, 3: 3, 4: 3}
-        _pos = {1: 0, 2: 1, 3: 2, 4: 3}
 
         def reason_literals(self, v):
             return self._rsn[v]
-
-        def var_level(self, v):
-            return self._lvl[v]
-
-        def var_position(self, v):
-            return self._pos[v]
 
     g = build_conflict_graph(FakeState(), (3, -4))
     known = {(1, 2, 4), (3, -4)}
@@ -434,3 +427,115 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
                     clashes += whole.conflict_literals[1] in whole.decisions
                     checked += 1
     assert checked >= 1000 and clashes >= 1
+
+
+def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
+    """The depth-first whole-graph construction that the trail walk replaced,
+    reading the solver's arrays: a stack from the conflict literals over
+    antecedents, with the virtual node's predecessors in trail order."""
+    levels, positions = state.levels, state.positions
+    preds, antecedents, level, position = {}, {}, {}, {}
+    decisions = set()
+    if clash_decision is not None:
+        d = clash_decision
+        if state.reason_literals(abs(d)) is None:
+            raise ValueError("cannot analyze a clash between two decisions")
+        preds[d], antecedents[d], level[d], position[d] = (), None, state.current_level, math.inf
+        decisions.add(d)
+        conflict_literals = (-d, d)
+        pending = [-d]
+    else:
+        lits = sorted(conflicting, key=lambda l: positions[abs(l)])
+        lstar = lits[-1]
+        preds[lstar] = tuple(-x for x in lits if x != lstar)
+        antecedents[lstar], level[lstar], position[lstar] = (
+            conflicting, levels[abs(lstar)], math.inf
+        )
+        conflict_literals = (-lstar, lstar)
+        pending = [-x for x in lits]
+    seen = set(preds)
+    while pending:
+        node = pending.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        v = abs(node)
+        level[node], position[node] = levels[v], positions[v]
+        reason = state.reason_literals(v)
+        antecedents[node] = reason
+        if reason is None:
+            decisions.add(node)
+            preds[node] = ()
+        else:
+            preds[node] = tuple(-x for x in reason if x != node)
+            pending.extend(p for p in preds[node] if p not in seen)
+    return ConflictGraph(
+        nodes=tuple(sorted(seen, key=position.__getitem__)),
+        preds=preds,
+        antecedents=antecedents,
+        decisions=frozenset(decisions),
+        conflict_var=abs(conflict_literals[1]),
+        conflict_literals=conflict_literals,
+        level=level,
+        position=position,
+        conflict_level=state.current_level,
+    )
+
+
+def test_whole_graph_matches_depth_first_reference(monkeypatch):
+    # every whole graph the engine builds (decision, rel-sat, FirstNewCut, the
+    # final record, graph_sink) equals the depth-first reference field by
+    # field; the virtual node's predecessors are compared as a set
+    build = conflict.build_conflict_graph
+    compared = clashes = 0
+
+    def checked_build(state, conflicting=None, clash_decision=None):
+        nonlocal compared, clashes
+        g = build(state, conflicting, clash_decision=clash_decision)
+        ref = _reference_conflict_graph(state, conflicting, clash_decision)
+        virtual = ref.conflict_literals[1]
+        for field in fields(ConflictGraph):
+            got, want = getattr(g, field.name), getattr(ref, field.name)
+            if field.name == "preds":
+                assert set(got[virtual]) == set(want[virtual])
+                got = {n: ps for n, ps in got.items() if n != virtual}
+                want = {n: ps for n, ps in want.items() if n != virtual}
+            assert got == want, field.name
+        compared += 1
+        clashes += clash_decision is not None
+        return g
+
+    monkeypatch.setattr(conflict, "build_conflict_graph", checked_build)
+    cases = [(random_3cnf(10, 42, seed=1000 + seed), None) for seed in range(6)]
+    for seed in range(4):
+        g = gen_random_pebbling(8, 3, 3, seed)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    for n in range(3, 6):
+        cases.append((gen_gtn(n), gtn_seq(n)))
+    for layers in range(2, 7):
+        g = gen_grid(layers)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    sink = lambda g: None
+    for f, seq in cases:
+        for learning in ("decision", "relsat", "first_uip", "first_new_cut"):
+            for sequence in (None,) if seq is None else (None, seq):
+                for clmm in (False, True):
+                    cfg = SolverConfig(
+                        learning=learning,
+                        sequence=sequence,
+                        cl_minus_minus=clmm,
+                        conflict_budget=60,
+                        graph_sink=sink,
+                    )
+                    solve(f, cfg)
+    for seed in range(40):
+        f = random_3cnf(9, 38, seed=1100 + seed)
+        learning = ("decision", "relsat", "first_uip", "first_new_cut")[seed % 4]
+        cfg = SolverConfig(
+            learning=learning,
+            sequence=random_sequence(9, 30, seed),
+            cl_minus_minus=True,
+            graph_sink=sink,
+        )
+        solve(f, cfg)
+    assert compared >= 4000 and clashes >= 50

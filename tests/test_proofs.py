@@ -129,6 +129,47 @@ def test_check_trivial_examples():
     chk = check_trivial(two_derived)
     assert not chk and chk.reason == "both antecedents are derived"
 
+    # a chain that leaves its previous resolvent for an older derived clause
+    f4 = CnfFormula(4, [(1, 3), (2, -3), (-1, 4), (-2, -4)])
+    branch = ResolutionProof(
+        f4,
+        (
+            ResolutionStep((1, 3)),
+            ResolutionStep((2, -3)),
+            ResolutionStep((1, 2), 0, 1, 3),
+            ResolutionStep((-1, 4)),
+            ResolutionStep((2, 4), 2, 3, 1),
+            ResolutionStep((-2, -4)),
+            ResolutionStep((1, -4), 2, 5, 2),
+        ),
+    )
+    chk = check_trivial(branch)
+    assert not chk and (chk.step, chk.reason) == (
+        6,
+        "derived antecedent is not the previous resolvent",
+    )
+
+
+def test_check_trivial_rejects_bad_antecedent_indices():
+    # a resolvent without a right antecedent used to raise TypeError, and a
+    # negative index wrapped around to an earlier step and could pass (left=-3
+    # over three steps reads step 0)
+    f = CnfFormula(3, [(1, 3), (2, -3)])
+    init = (ResolutionStep((1, 3)), ResolutionStep((2, -3)))
+    cases = [
+        (ResolutionStep((1, 2), 0, None, 3), "resolvent step missing antecedents"),
+        (ResolutionStep((1, 2), 0, 1, None), "resolvent step missing antecedents"),
+        (ResolutionStep((1, 2), -3, 1, 3), "antecedent does not precede the step"),
+        (ResolutionStep((1, 2), 0, -1, 3), "antecedent does not precede the step"),
+        (ResolutionStep((1, 2), 0, 2, 3), "antecedent does not precede the step"),
+        (ResolutionStep((1, 2), 5, 1, 3), "antecedent does not precede the step"),
+    ]
+    for step, reason in cases:
+        proof = ResolutionProof(f, (*init, step))
+        for check in (check_trivial, check_res_refutation):
+            chk = check(proof)
+            assert not chk and (chk.step, chk.reason) == (2, reason), (check, step)
+
 
 def test_resolve_on():
     assert resolve_on((1, 2), (-2, 3), 2) == (1, 3)

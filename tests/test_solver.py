@@ -11,6 +11,7 @@ from clsat import (
     SolverConfig,
     UnitPropagationChecker,
     check_res_refutation,
+    check_trivial,
     cl_to_res,
     derivation_to_proof,
     gen_grid,
@@ -26,7 +27,7 @@ from clsat import (
     write_proof,
     write_sequence,
 )
-from conftest import brute_force_satisfiable, random_3cnf, reference_dpll
+from conftest import brute_force_satisfiable, random_3cnf, random_sequence, reference_dpll
 
 
 def test_contradictory_units_unsat_zero_decisions():
@@ -46,7 +47,7 @@ def test_propagation_fixpoint_level_zero():
     s = Solver(CnfFormula(1, [(1,)]))
     assert s.propagate() is None
     assert s.trail == [1]
-    assert s.var_level(1) == 0
+    assert s.levels[1] == 0
     assert s.reason_literals(1) == (1,)
     s.validate_trail()
 
@@ -477,3 +478,57 @@ def test_derivation_proof_golden_digests():
         name: _derivation_proof_digest(f, seq) for name, (f, seq) in _record_cases().items()
     }
     assert digests == DERIVATION_PROOF_DIGESTS
+
+
+def _sweep_configs(num_vars, seq, seed):
+    """Every scheme with CL-- off and on (without and, when given, with the
+    sequence), plus three random sequences with restart markers under CL--."""
+    for learning in ("none", "decision", "relsat", "first_uip", "first_new_cut"):
+        for clmm in (False, True) if learning != "none" else (False,):
+            for s in (None,) if seq is None else (None, seq):
+                yield SolverConfig(learning=learning, sequence=s, cl_minus_minus=clmm)
+        if learning != "none":
+            for k in range(3):
+                yield SolverConfig(
+                    learning=learning,
+                    sequence=random_sequence(num_vars, 2 * num_vars, 3 * seed + k),
+                    cl_minus_minus=True,
+                )
+
+
+def test_differential_sweep():
+    # status against brute force, models, refutations, and every learned
+    # clause certified twice (trivial derivation, RUP), with the trail
+    # invariants checked at every propagation fixpoint
+    cases = [
+        (random_3cnf(n, round(4.3 * n), seed=100 * n + seed), None)
+        for n in range(4, 13)
+        for seed in range(20)
+    ]
+    for seed in range(20):
+        g = gen_random_pebbling(6, 3, 2, seed)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    gtn = [(gen_gtn(n), gtn_seq(n)) for n in (3, 4, 5)]
+    solves = records = 0
+    for k, (f, seq) in enumerate(cases + gtn):
+        # GTn is unsatisfiable by construction and too wide for brute force
+        expected = brute_force_satisfiable(f) if k < len(cases) else False
+        for cfg in _sweep_configs(f.num_vars, seq, k):
+            r = _ValidatingSolver(f, cfg).solve()
+            assert r.status in ("SAT", "UNSAT") and r.is_sat == expected, (k, cfg)
+            solves += 1
+            if r.is_sat:
+                assert satisfies(f, r.model)
+            if cfg.learning == "none":
+                continue
+            if r.is_unsat:
+                assert check_res_refutation(cl_to_res(r.records, f))
+            chk = UnitPropagationChecker(f.num_vars)
+            for c in f.clauses:
+                chk.add_clause(c.literals)
+            for rec in r.records:
+                assert check_trivial(derivation_to_proof(rec.derivation))
+                assert chk.conflicts_when_all_false(rec.clause), (k, cfg, rec)
+                chk.add_clause(rec.clause)
+                records += 1
+    assert solves >= 4000 and records >= 15000
