@@ -197,9 +197,18 @@ def cmd_res_replay(args) -> int:
     return _solve_exit(report.result.status)
 
 
+def _parse_names(option: str, spec: str) -> list[str]:
+    """Parse a comma-separated list of names. Raises ValueError naming the
+    option when the list is empty."""
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    if not names:
+        raise ValueError(f"no names in {option} {spec!r}")
+    return names
+
+
 def cmd_bench(args) -> int:
-    configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    configs = _parse_names("--configs", args.configs)
+    variants = _parse_names("--variants", args.variants)
     kwargs = dict(
         variants=variants,
         configs=configs,

@@ -4,10 +4,15 @@ The solver runs two-watched-literal unit propagation over a trail of
 assignments. Branching follows an optional branching sequence (each entry
 names a literal that is set FALSE first; assigned variables are skipped),
 falling back to a deterministic activity heuristic once the sequence is
-exhausted. With learning enabled, every conflict is analyzed through a
-conflict graph, one clause is learned under the configured scheme, and the
-solver backjumps; with learning disabled the search is plain DPLL with
-chronological backtracking.
+exhausted: the free literal of highest activity, ties to the lower variable
+and then to the negative literal. Before the first bump that is the lowest
+free variable, negated; after it, the pick is the top of a lazy binary heap
+that backjumps refill (docs/DECISIONS.md). Propagation, decisions and
+backjumps work on the trail arrays in place, with no call per literal, so
+that plain DPLL costs little more than its bookkeeping. With learning
+enabled, every conflict is analyzed through a conflict graph, one clause is
+learned under the configured scheme, and the solver backjumps; with learning
+disabled the search is plain DPLL with chronological backtracking.
 
 A solver instance is single-threaded and must not be shared mid-solve;
 separate instances over the same (immutable) formula may run concurrently.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable
 
 from . import conflict as _ca
@@ -183,6 +189,8 @@ class Solver:
         self.act_inc = 1.0
         self._activity_touched = False
         self._low_free = 1
+        # lazy fallback heap, built at the first pick after a bump
+        self._heap: list[tuple[float, int, int]] | None = None
         self._dpll_levels: list[tuple[int, bool]] = []  # (decision lit, flipped)
         self._seq = tuple(cfg.sequence.entries) if cfg.sequence else ()
         for k, e in enumerate(self._seq, start=1):
@@ -257,14 +265,21 @@ class Solver:
     def propagate(self) -> int | None:
         """Run unit propagation to fixpoint; return a falsified clause index
         or None. Every implied literal is recorded with its implying clause."""
+        trail = self.trail
+        qhead = self.qhead
         values = self.values
+        levels = self.levels
+        reasons = self.reasons
+        positions = self.positions
         clauses = self.clauses
         watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
+        level = len(self.trail_lim)  # propagation never opens a level
+        implied = 0
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             neg = -lit
-            wl = watches[_widx(neg)]
+            wl = watches[2 * lit + 1 if lit > 0 else -2 * lit]  # the watch list of neg
             i = j = 0
             nw = len(wl)
             while i < nw:
@@ -280,61 +295,93 @@ class Solver:
                     wl[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
                     lk = cl[k]
                     vk = values[lk] if lk > 0 else -values[-lk]
                     if vk != -1:
                         cl[1] = lk
                         cl[k] = neg
-                        watches[_widx(lk)].append(ci)
-                        moved = True
+                        watches[2 * lk if lk > 0 else -2 * lk + 1].append(ci)
                         break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
-                if v0 == -1:
-                    while i < nw:
-                        wl[j] = wl[i]
-                        i += 1
-                        j += 1
-                    del wl[j:]
-                    return ci
-                self._enqueue(w0, ci)
+                else:
+                    # no other literal to watch: the clause is unit or false
+                    wl[j] = ci
+                    j += 1
+                    if v0 == -1:
+                        while i < nw:
+                            wl[j] = wl[i]
+                            i += 1
+                            j += 1
+                        del wl[j:]
+                        self.qhead = qhead
+                        self.stats.propagations += implied
+                        return ci
+                    if w0 > 0:
+                        values[w0] = 1
+                        v = w0
+                    else:
+                        v = -w0
+                        values[v] = -1
+                    levels[v] = level
+                    reasons[v] = ci
+                    positions[v] = len(trail)
+                    trail.append(w0)
+                    implied += 1
             del wl[j:]
+        self.qhead = qhead
+        self.stats.propagations += implied
         return None
 
     # -------------------------------------------------------------- trail ops
-    def _open_level(self) -> None:
-        self.trail_lim.append(len(self.trail))
-        if self.current_level > self.stats.max_level:
-            self.stats.max_level = self.current_level
-
     def _decide(self, lit: int) -> None:
-        self._open_level()
-        if self.cfg.learning == "none":
-            self._dpll_levels.append((lit, False))
-        self._enqueue(lit, None)
+        """Open a new decision level with lit as its reason-less branch."""
+        trail = self.trail
+        trail_lim = self.trail_lim
+        trail_lim.append(len(trail))
+        level = len(trail_lim)
+        if level > self.stats.max_level:
+            self.stats.max_level = level
+        v = abs(lit)
+        self.values[v] = 1 if lit > 0 else -1
+        self.levels[v] = level
+        self.reasons[v] = None
+        self.positions[v] = len(trail)
+        trail.append(lit)
 
     def backjump(self, level: int) -> None:
         """Unwind the trail to the given decision level (no-op if already
-        there or lower). Learned clauses are untouched."""
-        if level >= self.current_level:
+        there or lower). Learned clauses are untouched. While the fallback
+        heap exists, both literals of every unassigned variable go back in
+        with their current activity."""
+        trail_lim = self.trail_lim
+        if level >= len(trail_lim):
             return
-        keep = self.trail_lim[level]
-        low = self._low_free
-        for pos in range(len(self.trail) - 1, keep - 1, -1):
-            v = abs(self.trail[pos])
-            self.values[v] = 0
-            self.reasons[v] = None
-            if v < low:
-                low = v
-        self._low_free = low
-        del self.trail[keep:]
-        del self.trail_lim[level:]
+        keep = trail_lim[level]
+        trail = self.trail
+        values = self.values
+        reasons = self.reasons
+        heap = self._heap
+        if heap is None:
+            low = self._low_free
+            for lit in trail[keep:]:
+                v = lit if lit > 0 else -lit
+                values[v] = 0
+                reasons[v] = None
+                if v < low:
+                    low = v
+            self._low_free = low
+        else:
+            act = self.activity
+            for lit in trail[keep:]:
+                v = lit if lit > 0 else -lit
+                values[v] = 0
+                reasons[v] = None
+                heappush(heap, (-act[2 * v + 1], v, 0))
+                heappush(heap, (-act[2 * v], v, 1))
+        del trail[keep:]
+        del trail_lim[level:]
         del self._dpll_levels[level:]
-        self.qhead = len(self.trail)
+        self.qhead = keep
 
     def restart(self) -> None:
         self.stats.restarts += 1
@@ -370,21 +417,33 @@ class Solver:
                 v += 1
             self._low_free = v
             return ("fallback", -v)
-        best = 0
-        best_act = -1.0
-        activity = self.activity
+        heap = self._heap
+        if heap is None or len(heap) > 8 * self.num_vars:
+            # built at the first pick after a bump or a rescale, and rebuilt
+            # once entries of assigned variables make up most of it
+            heap = self._heap = self._build_heap()
+        values = self.values
+        # a free literal's stale entries sort after its current one, since
+        # activity only grows between rescales: the first free top is current.
+        # The pick stays in the heap and leaves as assigned at a later pick.
+        while values[heap[0][1]]:
+            heappop(heap)
+        _, v, pos = heap[0]
+        return ("fallback", v if pos else -v)
+
+    def _build_heap(self) -> list[tuple[float, int, int]]:
+        """One entry (-activity, variable, 0 negative / 1 positive) per free
+        literal; the heap's minimum is the highest activity, then the lowest
+        variable, then the negative literal."""
+        act = self.activity
+        values = self.values
+        heap = []
         for v in range(1, self.num_vars + 1):
-            if self.values[v] != 0:
-                continue
-            a = activity[2 * v + 1]
-            if a > best_act:
-                best_act = a
-                best = -v
-            a = activity[2 * v]
-            if a > best_act:
-                best_act = a
-                best = v
-        return ("fallback", best)
+            if values[v] == 0:
+                heap.append((-act[2 * v + 1], v, 0))
+                heap.append((-act[2 * v], v, 1))
+        heapify(heap)
+        return heap
 
     def _consume_restart_marker(self) -> None:
         """In the assigned-branch replay mode, a restart marker directly after
@@ -400,7 +459,7 @@ class Solver:
         inc = self.act_inc
         act = self.activity
         for l in lits:
-            act[_widx(l)] += inc
+            act[2 * l if l > 0 else -2 * l + 1] += inc
         self._activity_touched = True
 
     def _decay_activity(self) -> None:
@@ -408,6 +467,8 @@ class Solver:
         if self.act_inc > 1e100:
             self.activity = [a * 1e-100 for a in self.activity]
             self.act_inc *= 1e-100
+            # rounding can turn distinct activities into ties: rebuild the heap
+            self._heap = None
 
     # ------------------------------------------------------------- learning
     def _analyze_and_learn(self, confl: int | None, clash: int | None) -> None:
@@ -433,7 +494,7 @@ class Solver:
         clause = _ca.cut_to_clause(g, cut)
         derivation = _ca.extract_trivial_derivation(g, cut)
         self._bump(clause)
-        self._bump(l for l in derivation.base)
+        self._bump(derivation.base)
         for ant, _ in derivation.steps:
             self._bump(ant)
         self._decay_activity()
@@ -481,14 +542,10 @@ class Solver:
         flip_of = next(n for n in g.decisions if g.level[n] == deepest)
         self.backjump(deepest - 1)
         ordered = sorted(clause, key=lambda x: -g.level[-x])
-        ci = self._add_clause(clause, ordered, init=False)
-        flip = -flip_of
-        val = self.lit_value(flip)
-        if val == 0:
-            self._open_level()
-            self._enqueue(flip, None)
-        elif val < 0:
-            self._pending_conflict = ci
+        self._add_clause(clause, ordered, init=False)
+        # every decision at the deepest level is unassigned by the backjump
+        assert self.values[abs(flip_of)] == 0
+        self._decide(-flip_of)
         return deepest - 1
 
     def _final_record(self, confl: int) -> None:
@@ -510,16 +567,18 @@ class Solver:
     # ---------------------------------------------------------------- dpll
     def _chrono_backtrack(self) -> bool:
         """Chronological backtracking: flip the deepest untried branch.
-        Returns False when the whole tree is exhausted (UNSAT)."""
-        while self._dpll_levels and self._dpll_levels[-1][1]:
-            self.backjump(self.current_level - 1)
-        if not self._dpll_levels:
+        Returns False when the whole tree is exhausted (UNSAT), level zero
+        included."""
+        dpll_levels = self._dpll_levels
+        k = len(dpll_levels) - 1  # entry k is the branch of level k + 1
+        while k >= 0 and dpll_levels[k][1]:
+            k -= 1
+        if k < 0:
             return False
-        lit, _ = self._dpll_levels[-1]
-        self.backjump(self.current_level - 1)
-        self._open_level()
-        self._dpll_levels.append((-lit, True))
-        self._enqueue(-lit, None)
+        lit = dpll_levels[k][0]
+        self.backjump(k)
+        self._decide(-lit)
+        dpll_levels.append((-lit, True))
         return True
 
     # ---------------------------------------------------------------- solve
@@ -551,10 +610,10 @@ class Solver:
                 if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
                     return self._result("BUDGET_EXCEEDED")
                 if not learning:
-                    if self.current_level == 0 or not self._chrono_backtrack():
+                    if not self._chrono_backtrack():
                         return self._result("UNSAT")
                     continue
-                if self.current_level == 0:
+                if not self.trail_lim:
                     self._final_record(confl)
                     return self._result("UNSAT")
                 self._analyze_and_learn(confl, None)
@@ -575,11 +634,15 @@ class Solver:
                 stats.conflicts += 1
                 if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
                     return self._result("BUDGET_EXCEEDED")
-                self._open_level()
+                # the clash opens an empty level: its branch contradicts the trail
+                self.trail_lim.append(len(self.trail))
+                stats.max_level = max(stats.max_level, len(self.trail_lim))
                 self._analyze_and_learn(None, lit)
                 self._consume_restart_marker()
                 continue
             self._decide(lit)
+            if not learning:
+                self._dpll_levels.append((lit, False))
 
     # ---------------------------------------------------------------- debug
     def validate_trail(self) -> None:

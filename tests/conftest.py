@@ -3,23 +3,33 @@
 from __future__ import annotations
 
 import random
-from itertools import product
 
 from clsat import RESTART, BranchingSequence, Clause, CnfFormula
 
 
 def brute_force_satisfiable(formula: CnfFormula) -> bool:
-    """Exhaustive assignment enumeration; only for small formulas."""
+    """Exhaustive assignment enumeration; only for small formulas. Bit v-1 of
+    an integer assignment is variable v's value, and each clause is a pair of
+    masks (its positive and its negative variables): the assignment satisfies
+    the clause when it sets a positive variable or clears a negative one."""
     n = formula.num_vars
     assert n <= 22, "brute force oracle limited to small formulas"
-    clauses = [c.literals for c in formula.clauses]
-    for bits in product((False, True), repeat=n):
-        ok = True
-        for cl in clauses:
-            if not any((l > 0) == bits[abs(l) - 1] for l in cl):
-                ok = False
+    masks = []
+    for c in formula.clauses:
+        pos = neg = 0
+        for l in c.literals:
+            if l > 0:
+                pos |= 1 << (l - 1)
+            else:
+                neg |= 1 << (-l - 1)
+        masks.append((pos, neg))
+    full = (1 << n) - 1
+    for bits in range(1 << n):
+        cleared = full ^ bits
+        for pos, neg in masks:
+            if not (bits & pos or cleared & neg):
                 break
-        if ok:
+        else:
             return True
     return False
 

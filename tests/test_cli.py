@@ -287,6 +287,16 @@ def test_bench_rejects_empty_range(tmp_path, capsys, option):
     assert not md.exists()
 
 
+@pytest.mark.parametrize("option", [("--configs", ""), ("--variants", ","), ("--configs", " , ")])
+def test_bench_rejects_empty_name_list(tmp_path, capsys, option):
+    md = tmp_path / "t.md"
+    args = ["bench", "--family", "grid", "--layers", "2..3", *option, "--markdown", str(md)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option[0] in err and repr(option[1]) in err
+    assert not md.exists()
+
+
 def test_solve_sequence_with_unknown_variable(tmp_path, capsys):
     cnf = tmp_path / "u.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,7 @@ from clsat import (
     satisfies,
     write_dimacs,
 )
-from conftest import random_3cnf
+from conftest import brute_force_satisfiable, random_3cnf
 
 
 def test_clause_canonical_form():
@@ -154,3 +155,33 @@ def test_satisfies():
     f = CnfFormula(3, [(1, 2), (-3,)])
     assert satisfies(f, {1: True, 2: False, 3: False})
     assert not satisfies(f, {1: False, 2: False, 3: False})
+
+
+def _product_satisfiable(formula: CnfFormula) -> bool:
+    """The brute-force oracle as it was before the bitmask enumeration: every
+    tuple of truth values, each clause tested literal by literal."""
+    clauses = [c.literals for c in formula.clauses]
+    for bits in product((False, True), repeat=formula.num_vars):
+        if all(any((l > 0) == bits[abs(l) - 1] for l in cl) for cl in clauses):
+            return True
+    return False
+
+
+def test_brute_force_oracle_matches_product_enumeration():
+    rng = random.Random(1107)
+    corpus = [CnfFormula(0, []), CnfFormula(0, [()]), CnfFormula(2, [(1,), ()])]
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        clauses = set()
+        for _ in range(rng.randint(0, 5 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+            clauses.add(tuple(sorted((v if rng.random() < 0.5 else -v for v in vs), key=abs)))
+        corpus.append(CnfFormula(n, sorted(clauses)))
+    for layers in (2, 3):
+        f = pebbling_to_cnf(gen_grid(layers))
+        corpus.append(f)
+        corpus += [CnfFormula(f.num_vars, f.clauses[:k] + f.clauses[k + 1 :]) for k in range(f.size)]
+    corpus.append(gen_gtn(3))
+    outcomes = [brute_force_satisfiable(f) for f in corpus]
+    assert outcomes == [_product_satisfiable(f) for f in corpus]
+    assert 100 < sum(outcomes) < len(corpus) - 100

@@ -532,3 +532,85 @@ def test_differential_sweep():
                 chk.add_clause(rec.clause)
                 records += 1
     assert solves >= 4000 and records >= 15000
+
+
+def _scan_pick(s):
+    """The fallback pick as a scan over every variable: the first maximum of
+    activity wins, visiting variables upward and each negative literal before
+    its positive one."""
+    best = 0
+    best_act = -1.0
+    activity = s.activity
+    for v in range(1, s.num_vars + 1):
+        if s.values[v] != 0:
+            continue
+        a = activity[2 * v + 1]
+        if a > best_act:
+            best_act = a
+            best = -v
+        a = activity[2 * v]
+        if a > best_act:
+            best_act = a
+            best = v
+    return best
+
+
+class _ScanCheckingSolver(Solver):
+    """Checks every fallback pick against the scan, and counts the picks made
+    after a bump (by the heap) and after a rescale. With rescale_every set,
+    every that many conflicts the activity increment is raised to just under
+    the 1e100 threshold, so the decay rescales all activities by 1e-100."""
+
+    def __init__(self, *args, rescale_every=None):
+        super().__init__(*args)
+        self.rescale_every = rescale_every
+        self.rescaled = False
+        self.bumped_picks = self.rescaled_picks = 0
+
+    def _decay_activity(self):
+        if self.rescale_every and self.stats.conflicts % self.rescale_every == 0:
+            self.act_inc = 0.99e100
+            self.rescaled = True
+        super()._decay_activity()
+
+    def _next_decision(self):
+        kind, lit = super()._next_decision()
+        if kind == "fallback":
+            assert lit == _scan_pick(self), (self.stats.decisions, lit)
+            if self._activity_touched:
+                self.bumped_picks += 1
+                self.rescaled_picks += self.rescaled
+        return kind, lit
+
+
+def test_fallback_heap_picks_what_the_scan_picks():
+    # the differential sweep's configurations, then unguided grids and larger
+    # random 3-CNFs, where long runs of equal activities make ties common
+    cases = [
+        (random_3cnf(n, round(4.3 * n), seed=100 * n + seed), None)
+        for n in range(4, 13)
+        for seed in range(20)
+    ]
+    for seed in range(20):
+        g = gen_random_pebbling(6, 3, 2, seed)
+        cases.append((pebbling_to_cnf(g), peb_seq_1uip(g)))
+    cases += [(gen_gtn(n), gtn_seq(n)) for n in (3, 4, 5)]
+    runs = [
+        (f, cfg) for k, (f, seq) in enumerate(cases) for cfg in _sweep_configs(f.num_vars, seq, k)
+    ]
+    unguided = SolverConfig(conflict_budget=1000, log_proof=False)
+    runs += [(pebbling_to_cnf(gen_grid(layers)), unguided) for layers in range(16, 25, 2)]
+    runs += [(random_3cnf(60, 256, seed=900 + seed), unguided) for seed in range(10)]
+    bumped_picks = 0
+    for f, cfg in runs:
+        s = _ScanCheckingSolver(f, cfg)
+        s.solve()
+        bumped_picks += s.bumped_picks
+    assert bumped_picks > 12000
+    # repeated rescales: rounding makes new ties, down to activities that
+    # underflow to zero, and the heap is rebuilt for them
+    s = _ScanCheckingSolver(
+        pebbling_to_cnf(gen_grid(20)), SolverConfig(conflict_budget=600), rescale_every=40
+    )
+    s.solve()
+    assert s.rescaled_picks > 500
