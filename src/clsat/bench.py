@@ -114,6 +114,9 @@ def _bench_family(
     unknown = [v for v in variants if v not in ("unsat", "sat")]
     if unknown:
         raise ValueError(f"unknown variant {unknown[0]!r}")
+    unknown = [c for c in configs if c not in _LEARNING]
+    if unknown:
+        raise ValueError(f"unknown config label {unknown[0]!r}")
     rows = []
     for params, formula, build_sequence, pool in instances:
         sequence = build_sequence() if "cl_sequence" in configs else None

@@ -377,7 +377,9 @@ def scheme_first_new_cut(
             return cand, True
 
 
-def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:
+def extract_trivial_derivation(
+    g: ConflictGraph, cut: Cut, clause: tuple[int, ...] | None = None
+) -> TrivialDerivation:
     """Derive the cut's clause by resolving antecedents of conflict-side nodes.
 
     Starting from the antecedent of the latest conflict-side node (always a
@@ -385,7 +387,9 @@ def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:
     conflict-side node's antecedent on that node's variable. Nodes whose
     variable is absent from the running clause are skipped. Pivots are
     distinct and every antecedent is a known clause, so the derivation is
-    trivial; its final clause equals the cut's clause.
+    trivial; its final clause equals the cut's clause. The result is checked
+    against `clause` when the caller already has `cut_to_clause(g, cut)`,
+    and against a fresh `cut_to_clause` otherwise.
     """
     side = sorted(cut.conflict_side, key=lambda n: g.position[n], reverse=True)
     if not side:
@@ -404,10 +408,11 @@ def extract_trivial_derivation(g: ConflictGraph, cut: Cut) -> TrivialDerivation:
         ant = g.antecedents[y]
         if ant is None:
             raise ValueError("decision literal on the conflict side")
-        running = (running - {-y}) | (set(ant) - {y})
+        running.remove(-y)
+        running.update(x for x in ant if x != y)
         steps.append((ant, abs(y)))
     result = canonical_literals(running)
-    expected = cut_to_clause(g, cut)
+    expected = cut_to_clause(g, cut) if clause is None else clause
     if result != expected:
         raise AssertionError(
             f"derivation yields {result} but the cut's clause is {expected}"

@@ -492,7 +492,7 @@ class Solver:
             else:
                 cut, redundant = _ca.scheme_first_new_cut(g, self.known)
         clause = _ca.cut_to_clause(g, cut)
-        derivation = _ca.extract_trivial_derivation(g, cut)
+        derivation = _ca.extract_trivial_derivation(g, cut, clause)
         self._bump(clause)
         self._bump(derivation.base)
         for ant, _ in derivation.steps:

@@ -25,10 +25,15 @@ from .engine import (
 from .formula import Clause, CnfFormula, canonical_literals
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResolutionStep:
     """One proof step: an initial clause (left is None) or the resolvent of
-    steps left and right on the pivot variable."""
+    steps left and right on the pivot variable.
+
+    Slotted rather than frozen, because certification builds one per step of
+    every learned clause's derivation; steps are values and nothing assigns
+    to a field after construction (docs/DECISIONS.md, "Proof steps are
+    slotted, not frozen")."""
 
     clause: tuple[int, ...]
     left: int | None = None
@@ -137,7 +142,7 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
     """
     over = proof.over.clause_set()
     for i, st in enumerate(proof.steps):
-        if st.is_initial:
+        if st.left is None:
             if st.right is not None or st.pivot is not None:
                 return CheckResult(False, i, "initial step with resolvent fields")
             if st.clause not in over:
@@ -167,9 +172,9 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
 
 def check_trivial(proof: ResolutionProof) -> CheckResult:
     """Check the trivial-derivation shape: every resolvent has two earlier
-    antecedents and a pivot, pivots are distinct, and every resolvent
-    resolves the previous resolvent (or, for the first one, an initial step)
-    against an initial step."""
+    antecedents and a pivot, pivots are distinct variables, and every
+    resolvent resolves the previous resolvent (or, for the first one, an
+    initial step) against an initial step."""
     initial = [st.left is None for st in proof.steps]
     pivots: set[int] = set()
     prev_resolvent: int | None = None
@@ -180,6 +185,8 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
             return CheckResult(False, i, "resolvent step missing antecedents")
         if not (0 <= st.left < i and 0 <= st.right < i):
             return CheckResult(False, i, "antecedent does not precede the step")
+        if st.pivot <= 0:
+            return CheckResult(False, i, "bad pivot")
         if st.pivot in pivots:
             return CheckResult(False, i, "duplicate pivot")
         pivots.add(st.pivot)
@@ -203,7 +210,8 @@ def derivation_to_proof(derivation) -> ResolutionProof:
     not yield the derivation's result."""
     # first occurrences, in order
     known = dict.fromkeys([derivation.base, *(ant for ant, _ in derivation.steps)])
-    clauses = [Clause(c) for c in known]
+    # canonical_literals validates as Clause() does, without its frame
+    clauses = [Clause._trusted(canonical_literals(c)) for c in known]
     over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
     steps: list[ResolutionStep] = []
     _lift(derivation, steps, {}, known)
@@ -243,26 +251,27 @@ def _lift(derivation, steps, index, known) -> None:
     in `known`; a resolvent is added once. Raises ValueError when the chain
     does not end in `derivation.result`.
     """
+    append, get = steps.append, index.get
     clause = derivation.base
-    cur = index.get(clause)
+    cur = get(clause)
     if cur is None:
         if clause not in known:
             raise ValueError(f"derivation references unknown clause {clause}")
         cur = index[clause] = len(steps)
-        steps.append(ResolutionStep(clause))
+        append(ResolutionStep(clause))
     for ant, pivot in derivation.steps:
-        right = index.get(ant)
+        right = get(ant)
         if right is None:
             if ant not in known:
                 raise ValueError(f"derivation references unknown clause {ant}")
             right = index[ant] = len(steps)
-            steps.append(ResolutionStep(ant))
+            append(ResolutionStep(ant))
         clause = resolve_on(clause, ant, pivot)
         left = cur
-        cur = index.get(clause)
+        cur = get(clause)
         if cur is None:
             cur = index[clause] = len(steps)
-            steps.append(ResolutionStep(clause, left, right, pivot))
+            append(ResolutionStep(clause, left, right, pivot))
     if clause != derivation.result:
         raise ValueError(
             f"derivation chain yields {clause} but claims {derivation.result}"
@@ -280,14 +289,14 @@ def _prune(steps: Sequence[ResolutionStep], root: int) -> tuple[ResolutionStep, 
             continue
         used.add(i)
         st = steps[i]
-        if not st.is_initial:
+        if st.left is not None:
             stack.extend((st.left, st.right))
     keep = sorted(used)
     remap = {old: new for new, old in enumerate(keep)}
     out = []
     for old in keep:
         st = steps[old]
-        if not st.is_initial:
+        if st.left is not None:
             st = ResolutionStep(st.clause, remap[st.left], remap[st.right], st.pivot)
         out.append(st)
     return tuple(out)
@@ -670,7 +679,7 @@ class UnitPropagationChecker:
         while qhead < len(trail):
             neg = -trail[qhead]
             qhead += 1
-            wl = watches[_widx(neg)]
+            wl = watches[2 * neg if neg > 0 else -2 * neg + 1]
             i = j = 0
             n = len(wl)
             while i < n:
@@ -689,7 +698,7 @@ class UnitPropagationChecker:
                     lk = cl[k]
                     if (values[lk] if lk > 0 else -values[-lk]) != -1:
                         cl[1], cl[k] = lk, cl[1]
-                        watches[_widx(lk)].append(ci)
+                        watches[2 * lk if lk > 0 else -2 * lk + 1].append(ci)
                         break
                 else:
                     wl[j] = ci

@@ -297,6 +297,24 @@ def test_bench_rejects_empty_name_list(tmp_path, capsys, option):
     assert not md.exists()
 
 
+def test_bench_rejects_unknown_config_before_solving(tmp_path, capsys, monkeypatch):
+    import clsat.bench
+
+    solves = []
+    real_solve = clsat.bench.solve
+    monkeypatch.setattr(
+        clsat.bench, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k)
+    )
+    md = tmp_path / "t.md"
+    args = ["bench", "--family", "grid", "--layers", "2..3", "--configs", "dpll,foo",
+            "--markdown", str(md)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'foo'" in err
+    assert solves == []
+    assert not md.exists()
+
+
 def test_solve_sequence_with_unknown_variable(tmp_path, capsys):
     cnf = tmp_path / "u.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

@@ -2,6 +2,8 @@ import itertools
 import math
 from dataclasses import fields
 
+import pytest
+
 from clsat import (
     BranchingSequence,
     CnfFormula,
@@ -89,6 +91,12 @@ def test_pqr_decision_cut_derivation():
     assert d.steps == (((-1, 3), 3), ((-1, 2), 2))
     assert d.result == (-1,)
     assert check_trivial(derivation_to_proof(d))
+    # a caller that has the cut's clause passes it in; the result is still
+    # checked against it
+    assert extract_trivial_derivation(g, scheme_decision(g), (-1,)) == d
+    mismatch = r"yields \(-1,\) but the cut's clause is \(1,\)"
+    with pytest.raises(AssertionError, match=mismatch):
+        extract_trivial_derivation(g, scheme_decision(g), (1,))
 
 
 def test_cut_to_clause_single_frontier():

@@ -6,6 +6,7 @@ import pytest
 
 from clsat import (
     BranchingSequence,
+    Clause,
     CnfFormula,
     ResolutionProof,
     ResolutionStep,
@@ -163,6 +164,8 @@ def test_check_trivial_rejects_bad_antecedent_indices():
         (ResolutionStep((1, 2), 0, -1, 3), "antecedent does not precede the step"),
         (ResolutionStep((1, 2), 0, 2, 3), "antecedent does not precede the step"),
         (ResolutionStep((1, 2), 5, 1, 3), "antecedent does not precede the step"),
+        (ResolutionStep((1, 2), 0, 1, 0), "bad pivot"),
+        (ResolutionStep((1, 2), 0, 1, -3), "bad pivot"),
     ]
     for step, reason in cases:
         proof = ResolutionProof(f, (*init, step))
@@ -297,6 +300,47 @@ MISCLAIMED = TrivialDerivation(base=(1, 2), steps=(((-2, 3), 2),), result=(1,))
 def test_derivation_to_proof_rejects_chain_not_ending_in_result():
     with pytest.raises(ValueError, match=r"yields \(1, 3\) but claims \(1,\)"):
         derivation_to_proof(MISCLAIMED)
+
+
+def test_derivation_to_proof_validates_its_clauses():
+    # the formula is built from canonical tuples without Clause's constructor,
+    # but rejects what Clause() rejects, with the same messages
+    tautology = TrivialDerivation(base=(1, -1), steps=(), result=(1, -1))
+    with pytest.raises(ValueError, match="^tautological clause: contains both -1 and 1$"):
+        derivation_to_proof(tautology)
+    zero = TrivialDerivation(base=(1, 0), steps=(), result=(1, 0))
+    with pytest.raises(ValueError, match="^0 is not a literal$"):
+        derivation_to_proof(zero)
+    # a valid non-canonical base: the formula holds the canonical clause,
+    # the initial step the tuple as given
+    proof = derivation_to_proof(TrivialDerivation(base=(2, 1), steps=(), result=(2, 1)))
+    assert proof.over.num_vars == 2
+    assert proof.over.clauses == (Clause([1, 2]),)
+    assert proof.steps == (ResolutionStep((2, 1)),)
+
+
+def test_check_trivial_rejects_non_positive_pivot():
+    # pivot -2 names variable 2 again: the chain resolves 2 twice, as 2 and
+    # as -2, and must not get round the distinct-pivot rule
+    chain = (((-2, 3), 2), ((-3, 2), 3))
+    for last, reason in ((-2, "bad pivot"), (2, "duplicate pivot")):
+        d = TrivialDerivation(base=(1, 2), steps=(*chain, ((-2,), last)), result=(1,))
+        chk = check_trivial(derivation_to_proof(d))
+        assert not chk and (chk.step, chk.reason) == (5, reason)
+
+
+def test_resolution_step_value_semantics():
+    a = ResolutionStep((1, 2), 0, 1, 3)
+    assert a == ResolutionStep((1, 2), 0, 1, 3)
+    assert a != ResolutionStep((1, 2), 1, 0, 3)
+    assert ResolutionStep((1,)) != ((1,), None, None, None)
+    assert ((1,), None, None, None) != ResolutionStep((1,))
+    assert hash(a) == hash(ResolutionStep((1, 2), 0, 1, 3))
+    assert len({a, ResolutionStep((1, 2), 0, 1, 3), ResolutionStep((1,))}) == 2
+    assert repr(a) == "ResolutionStep(clause=(1, 2), left=0, right=1, pivot=3)"
+    assert repr(ResolutionStep(())) == (
+        "ResolutionStep(clause=(), left=None, right=None, pivot=None)"
+    )
 
 
 def test_cl_to_res_rejects_chain_not_ending_in_record_clause():
