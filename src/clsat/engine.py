@@ -157,10 +157,6 @@ class SolveResult:
         return self.status == "UNSAT"
 
 
-def _widx(lit: int) -> int:
-    return 2 * lit if lit > 0 else -2 * lit + 1
-
-
 class Solver:
     def __init__(self, formula: CnfFormula, config: SolverConfig | None = None):
         cfg = config or SolverConfig()
@@ -197,10 +193,20 @@ class Solver:
             if e is not RESTART and abs(e) > n:
                 raise ValueError(f"sequence entry {k} names unknown variable {abs(e)}")
         self._seq_pos = 0
-        self._pending_conflict: int | None = None
         self._finished = False
+        # the first input clause that is empty or a unit against an earlier
+        # unit: solve meets it at level zero unless propagation conflicts first
+        self._input_conflict: int | None = None
         for clause in formula.clauses:
-            self._add_clause(clause.literals, list(clause.literals), init=True)
+            lits = clause.literals
+            ci = self._add_clause(lits, list(lits))
+            if len(lits) > 1:
+                continue
+            val = self.lit_value(lits[0]) if lits else -1
+            if val == 0:
+                self._enqueue(lits[0], ci)
+            elif val < 0 and self._input_conflict is None:
+                self._input_conflict = ci
 
     @staticmethod
     def _validate_config(cfg: SolverConfig) -> None:
@@ -231,36 +237,27 @@ class Solver:
         return {v: self.values[v] > 0 for v in range(1, self.num_vars + 1)}
 
     # ------------------------------------------------------------- clause DB
-    def _add_clause(self, clause: tuple[int, ...], lits: list[int], init: bool) -> int:
-        """Store a canonical clause with its literals in watch order."""
+    def _add_clause(self, clause: tuple[int, ...], lits: list[int]) -> int:
+        """Store a canonical clause with its literals in watch order, and watch
+        the first two; the callers assign units and note falsified clauses."""
         ci = len(self.clauses)
         self.clauses.append(lits)
         self.canonical_clauses.append(clause)
-        if len(lits) == 0:
-            if self._pending_conflict is None:
-                self._pending_conflict = ci
-        elif len(lits) == 1:
-            if init:
-                val = self.lit_value(lits[0])
-                if val == 0:
-                    self._enqueue(lits[0], ci)
-                elif val < 0 and self._pending_conflict is None:
-                    self._pending_conflict = ci
-        else:
-            self.watches[_widx(lits[0])].append(ci)
-            self.watches[_widx(lits[1])].append(ci)
+        if len(lits) > 1:
+            w0, w1 = lits[0], lits[1]
+            self.watches[2 * w0 if w0 > 0 else -2 * w0 + 1].append(ci)
+            self.watches[2 * w1 if w1 > 0 else -2 * w1 + 1].append(ci)
         return ci
 
     # ------------------------------------------------------------ propagation
-    def _enqueue(self, lit: int, reason: int | None) -> None:
+    def _enqueue(self, lit: int, reason: int) -> None:
         v = abs(lit)
         self.values[v] = 1 if lit > 0 else -1
         self.levels[v] = self.current_level
         self.reasons[v] = reason
         self.positions[v] = len(self.trail)
         self.trail.append(lit)
-        if reason is not None:
-            self.stats.propagations += 1
+        self.stats.propagations += 1
 
     def propagate(self) -> int | None:
         """Run unit propagation to fixpoint; return a falsified clause index
@@ -448,9 +445,8 @@ class Solver:
     def _consume_restart_marker(self) -> None:
         """In the assigned-branch replay mode, a restart marker directly after
         a conflict fires before any further propagation: the construction
-        learns one clause per sequence segment, then restarts immediately."""
-        if not self.cfg.cl_minus_minus:
-            return
+        learns one clause per sequence segment, then restarts immediately
+        (only that mode has restart markers)."""
         if self._seq_pos < len(self._seq) and self._seq[self._seq_pos] is RESTART:
             self._seq_pos += 1
             self.restart()
@@ -514,39 +510,34 @@ class Solver:
         self.stats.learned_clauses += 1
 
     def _install_learned(self, clause: tuple[int, ...], g: ConflictGraph) -> int:
-        """Backjump and add the learned clause.
+        """Backjump, add the learned clause and return the backjump level.
 
-        Asserting clauses (exactly one literal at the conflict level) go to
-        their assertion level, where the flipped literal is asserted with the
-        new clause as its reason; unit clauses land at level zero. A
-        non-asserting clause backtracks to one below the deepest decision in
-        the conflict graph and flips that decision (a reason-less branch).
+        One sort by descending level gives the watch order and the level. An
+        asserting clause (one literal at the conflict level, sorted first)
+        goes to the highest level of the others, or zero, and asserts that
+        literal with the clause as its reason. After a CL-- clash the literal
+        is the trail literal the branch contradicted and is still true, so
+        the clause is installed satisfied (docs/DECISIONS.md). A non-asserting
+        clause backtracks to one below the conflict level and flips that
+        level's decision (a reason-less branch).
         """
+        level = g.level
         lvl = g.conflict_level
-        at_conflict_level = [x for x in clause if g.level[-x] == lvl]
-        if len(at_conflict_level) == 1:
-            assert_lit = at_conflict_level[0]
-            bt = max((g.level[-y] for y in clause if y != assert_lit), default=0)
+        ordered = sorted(clause, key=lambda x: -level[-x])
+        bt = level[-ordered[1]] if len(ordered) > 1 else 0
+        if bt < lvl:
             self.backjump(bt)
-            ordered = [assert_lit] + sorted(
-                (x for x in clause if x != assert_lit), key=lambda x: -g.level[-x]
-            )
-            ci = self._add_clause(clause, ordered, init=False)
-            val = self.lit_value(assert_lit)
-            if val == 0:
-                self._enqueue(assert_lit, ci)
-            elif val < 0:
-                self._pending_conflict = ci
+            ci = self._add_clause(clause, ordered)
+            if self.lit_value(ordered[0]) == 0:
+                self._enqueue(ordered[0], ci)
             return bt
-        deepest = max(g.level[n] for n in g.decisions)
-        flip_of = next(n for n in g.decisions if g.level[n] == deepest)
-        self.backjump(deepest - 1)
-        ordered = sorted(clause, key=lambda x: -g.level[-x])
-        self._add_clause(clause, ordered, init=False)
-        # every decision at the deepest level is unassigned by the backjump
+        flip_of = next(n for n in g.decisions if level[n] == lvl)
+        self.backjump(lvl - 1)
+        self._add_clause(clause, ordered)
+        # every decision at the conflict level is unassigned by the backjump
         assert self.values[abs(flip_of)] == 0
         self._decide(-flip_of)
-        return deepest - 1
+        return lvl - 1
 
     def _final_record(self, confl: int) -> None:
         if not self.cfg.log_proof:
@@ -596,53 +587,49 @@ class Solver:
         cfg = self.cfg
         stats = self.stats
         learning = cfg.learning != "none"
+        confl = self.propagate()
+        if confl is None:
+            confl = self._input_conflict
         while True:
-            confl = self.propagate()
-            if confl is None and self._pending_conflict is not None:
-                ci = self._pending_conflict
-                self._pending_conflict = None
-                # an interleaved backjump may have defused the pending clause;
-                # only a still-falsified clause is a conflict
-                if all(self.lit_value(l) == -1 for l in self.clauses[ci]):
-                    confl = ci
-            if confl is not None:
-                stats.conflicts += 1
-                if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
+            clash = None
+            while confl is None:
+                if len(self.trail) == self.num_vars:
+                    return self._result("SAT")
+                kind, lit = self._next_decision()
+                if kind == "restart":
+                    self.restart()
+                elif cfg.decision_budget is not None and stats.decisions >= cfg.decision_budget:
                     return self._result("BUDGET_EXCEEDED")
-                if not learning:
-                    if not self._chrono_backtrack():
-                        return self._result("UNSAT")
-                    continue
-                if not self.trail_lim:
+                else:
+                    stats.decisions += 1
+                    if kind == "fallback":
+                        stats.fallback_decisions += 1
+                    if kind == "clash":
+                        clash = lit
+                        break
+                    self._decide(lit)
+                    if not learning:
+                        self._dpll_levels.append((lit, False))
+                confl = self.propagate()
+            # a conflict: a falsified clause, or a CL-- branch that
+            # contradicts an implied trail literal
+            stats.conflicts += 1
+            if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
+                return self._result("BUDGET_EXCEEDED")
+            if not learning:
+                if not self._chrono_backtrack():
+                    return self._result("UNSAT")
+            else:
+                if clash is not None:
+                    # the clash opens an empty level: its branch contradicts the trail
+                    self.trail_lim.append(len(self.trail))
+                    stats.max_level = max(stats.max_level, len(self.trail_lim))
+                elif not self.trail_lim:
                     self._final_record(confl)
                     return self._result("UNSAT")
-                self._analyze_and_learn(confl, None)
+                self._analyze_and_learn(confl, clash)
                 self._consume_restart_marker()
-                continue
-            if len(self.trail) == self.num_vars:
-                return self._result("SAT")
-            kind, lit = self._next_decision()
-            if kind == "restart":
-                self.restart()
-                continue
-            if cfg.decision_budget is not None and stats.decisions >= cfg.decision_budget:
-                return self._result("BUDGET_EXCEEDED")
-            stats.decisions += 1
-            if kind == "fallback":
-                stats.fallback_decisions += 1
-            if kind == "clash":
-                stats.conflicts += 1
-                if cfg.conflict_budget is not None and stats.conflicts > cfg.conflict_budget:
-                    return self._result("BUDGET_EXCEEDED")
-                # the clash opens an empty level: its branch contradicts the trail
-                self.trail_lim.append(len(self.trail))
-                stats.max_level = max(stats.max_level, len(self.trail_lim))
-                self._analyze_and_learn(None, lit)
-                self._consume_restart_marker()
-                continue
-            self._decide(lit)
-            if not learning:
-                self._dpll_levels.append((lit, False))
+            confl = self.propagate()
 
     # ---------------------------------------------------------------- debug
     def validate_trail(self) -> None:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .conflict import LearnedClauseRecord
+from .conflict import LearnedClauseRecord, TrivialDerivation
 from .engine import (
     RESTART,
     BranchingSequence,
     SolveResult,
     SolverConfig,
-    _widx,
     solve,
 )
 from .formula import Clause, CnfFormula, canonical_literals
@@ -208,11 +207,19 @@ def derivation_to_proof(derivation) -> ResolutionProof:
     formula consists of the known clauses the derivation uses, so it can be
     checked with the generic checkers. Raises ValueError when the chain does
     not yield the derivation's result."""
-    # first occurrences, in order
-    known = dict.fromkeys([derivation.base, *(ant for ant, _ in derivation.steps)])
-    # canonical_literals validates as Clause() does, without its frame
-    clauses = [Clause._trusted(canonical_literals(c)) for c in known]
+    base, links = derivation.base, derivation.steps
+    known = dict.fromkeys([base, *(ant for ant, _ in links)])  # first occurrences, in order
+    # canonical_literals validates as Clause() does, without its frame, and
+    # returns a canonical tuple as it is
+    canon = [canonical_literals(c) for c in known]
+    clauses = [Clause._trusted(c) for c in canon]
     over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
+    result = canonical_literals(derivation.result)
+    if result is not derivation.result or canon != list(known):
+        # lift a hand-built derivation in canonical form, as the formula holds it
+        to = dict(zip(known, canon))
+        derivation = TrivialDerivation(to[base], tuple((to[a], p) for a, p in links), result)
+        known = dict.fromkeys(canon)
     steps: list[ResolutionStep] = []
     _lift(derivation, steps, {}, known)
     return ResolutionProof(over, tuple(steps))
@@ -238,8 +245,7 @@ def cl_to_res(
             raise ValueError("record derivation does not yield the learned clause")
         _lift(rec.derivation, steps, index, known)
         known.add(rec.clause)
-    if () not in index:
-        raise ValueError("log never derives the empty clause")
+    # the last record's chain ends in (), so _lift has indexed it
     return ResolutionProof(formula, _prune(steps, index[()]))
 
 
@@ -659,8 +665,9 @@ class UnitPropagationChecker:
         cl = true + unassigned + false
         ci = len(self.clauses)
         self.clauses.append(cl)
-        self.watches[_widx(cl[0])].append(ci)
-        self.watches[_widx(cl[1])].append(ci)
+        w0, w1 = cl[0], cl[1]
+        self.watches[2 * w0 if w0 > 0 else -2 * w0 + 1].append(ci)
+        self.watches[2 * w1 if w1 > 0 else -2 * w1 + 1].append(ci)
         if true:
             return
         if not unassigned:

@@ -2,7 +2,15 @@ import hashlib
 
 import pytest
 
-from clsat import parse_dimacs, parse_sequence, write_dimacs
+from clsat import (
+    gen_random_pebbling,
+    make_satisfiable,
+    parse_dimacs,
+    parse_pebbling_graph,
+    parse_sequence,
+    pebbling_to_cnf,
+    write_dimacs,
+)
 from clsat.bench import CSV_HEADER
 from clsat.cli import main
 from conftest import random_3cnf
@@ -29,6 +37,20 @@ def test_gen_gtn_counts(tmp_path):
     sat_out = tmp_path / "gt_sat.cnf"
     assert run(["gen-gtn", "--n", "10", "--sat-seed", "3", "-o", str(sat_out)]) == 0
     assert parse_dimacs(sat_out.read_text()).size == 774
+
+
+def test_gen_randpeb_to_file(tmp_path):
+    out = tmp_path / "r.cnf"
+    graph = tmp_path / "r.peb"
+    args = ["gen-randpeb", "--nodes", "9", "--max-indegree", "3", "--max-label", "3",
+            "--seed", "5", "-o", str(out), "--graph", str(graph)]
+    assert run(args) == 0
+    g = gen_random_pebbling(9, 3, 3, 5)
+    assert parse_pebbling_graph(graph.read_text()) == g
+    assert parse_dimacs(out.read_text()) == pebbling_to_cnf(g)
+    sat_out = tmp_path / "r_sat.cnf"
+    assert run([*args[:-4], "--sat-seed", "2", "-o", str(sat_out)]) == 0
+    assert parse_dimacs(sat_out.read_text()) == make_satisfiable(pebbling_to_cnf(g), 2)
 
 
 def test_gen_seq_grid_golden(tmp_path):
@@ -93,6 +115,15 @@ def test_solve_with_sequence_and_proof(tmp_path, capsys):
     assert "fallback=0" in out
     assert run(["verify-proof", str(cnf), str(proof)]) == 0
     assert "valid refutation" in capsys.readouterr().out
+
+
+def test_solve_proof_on_sat_writes_nothing(tmp_path, capsys):
+    cnf = tmp_path / "s.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    proof = tmp_path / "s.res"
+    assert run(["solve", str(cnf), "--proof", str(proof)]) == 10
+    assert "c no refutation to write" in capsys.readouterr().err
+    assert not proof.exists()
 
 
 def test_verify_proof_invalid(tmp_path, capsys):
@@ -294,6 +325,16 @@ def test_bench_rejects_empty_name_list(tmp_path, capsys, option):
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and option[0] in err and repr(option[1]) in err
+    assert not md.exists()
+
+
+def test_bench_rejects_unknown_variant(tmp_path, capsys):
+    md = tmp_path / "t.md"
+    args = ["bench", "--family", "grid", "--layers", "2..3", "--variants", "foo",
+            "--markdown", str(md)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'foo'" in err
     assert not md.exists()
 
 

@@ -85,6 +85,24 @@ def test_parse_dimacs_errors_name_lines():
         parse_dimacs("p cnf 2 2\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", 2, "duplicate header"),
+        ("p cnf x 1\n1 0\n", 1, 'malformed header: "p cnf x 1"'),
+        ("c c\np cnf 1 -1\n", 2, 'malformed header: "p cnf 1 -1"'),
+        ("p cnf 1 1\n1 a 0\n", 2, 'bad literal token "a"'),
+        ("c only a comment\n", 1, "missing header"),
+        ("", 1, "missing header"),
+    ],
+)
+def test_parse_dimacs_rejects_with_line(text, line, message):
+    with pytest.raises(DimacsError) as e:
+        parse_dimacs(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+
+
 def test_parse_dimacs_comments_multiline_and_bytes():
     text = "c a comment\np cnf 3 2\nc another\n1 2\n3 0\n-1 0\n"
     f = parse_dimacs(text.encode("ascii"))

@@ -186,6 +186,15 @@ def test_pebbling_graph_file_roundtrip():
         ("p peb 2\nn 1 1 |\n# c\nn 1 2 |\nt 1\n", "line 4: duplicate node id 1"),
         ("p peb 1\nn 1 1 |\np peb 1\nt 1\n", "line 3: duplicate header"),
         ("p peb 1\nn 1 1 |\nt 1\nt 1\n", "line 4: duplicate target line"),
+        ("p peb\nn 1 1 |\nt 1\n", "line 1: malformed header"),
+        ("p foo 1\nn 1 1 |\nt 1\n", "line 1: malformed header"),
+        ("p peb 1\nn 1 1\nt 1\n", "line 2: node line missing '\\|'"),
+        ("p peb 1\nn 1 1 |\nq 1\n", "line 3: unrecognized line 'q 1'"),
+        ("p peb 1\nn 1 1 |\n", "^missing header or target line$"),
+        ("n 1 1 |\nt 1\n", "^missing header or target line$"),
+        ("p peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^node ids must cover 1\.\.N$"),
+        ("p peb 1\nn 1 |\nt 1\n", "^node 1 has an empty label$"),
+        ("p peb 2\nn 1 1 | 2\nn 2 2 |\nt 1\n", "^node 1 has non-topological predecessor 2$"),
     ],
 )
 def test_pebbling_graph_parse_errors(text, message):

@@ -85,6 +85,26 @@ def test_check_res_refutation_wrong_resolvent_and_missing_initial():
     assert not chk2 and chk2.reason == "initial clause not in the formula"
 
 
+@pytest.mark.parametrize(
+    "steps, step, reason",
+    [
+        ([ResolutionStep((1,), None, 0, None)], 0, "initial step with resolvent fields"),
+        ([ResolutionStep((1,), None, None, 1)], 0, "initial step with resolvent fields"),
+        (
+            [ResolutionStep((1, 2)), ResolutionStep((-1, -2)), ResolutionStep((), 0, 1, 1)],
+            2,
+            "tautological resolvent",
+        ),
+        ([], None, "proof does not end in the empty clause"),
+        ([ResolutionStep((1, 2))], None, "proof does not end in the empty clause"),
+    ],
+)
+def test_check_res_refutation_rejects(steps, step, reason):
+    f = CnfFormula(2, [(1,), (1, 2), (-1, -2)])
+    chk = check_res_refutation(ResolutionProof(f, tuple(steps)))
+    assert not chk and (chk.step, chk.reason) == (step, reason)
+
+
 def test_check_trivial_examples():
     f = CnfFormula(3, [(1, 3), (2, -3)])
     good = ResolutionProof(
@@ -293,6 +313,24 @@ def test_cl_to_res_rejects_unknown_clauses():
         cl_to_res([rec], f)
 
 
+@pytest.mark.parametrize(
+    "derivation, clause, message",
+    [
+        # the chain's result is not the clause the record claims to learn
+        (TrivialDerivation((1,), (((-1,), 1),), ()), (1,), "does not yield the learned clause"),
+        # the base is known, an antecedent is not
+        (TrivialDerivation((1,), (((-1, 2), 1),), (2,)), (2,), r"unknown clause \(-1, 2\)"),
+    ],
+)
+def test_cl_to_res_rejects_bad_records(derivation, clause, message):
+    f = CnfFormula(2, [(1,), (-1,)])
+    rec = LearnedClauseRecord(clause=clause, derivation=derivation, scheme="first_uip")
+    final = TrivialDerivation(base=(1,), steps=(((-1,), 1),), result=())
+    log = [rec, LearnedClauseRecord(clause=(), derivation=final, scheme="final")]
+    with pytest.raises(ValueError, match=message):
+        cl_to_res(log, f)
+
+
 # the chain resolves (1 2) with (-2 3) on 2, which yields (1 3), not (1)
 MISCLAIMED = TrivialDerivation(base=(1, 2), steps=(((-2, 3), 2),), result=(1,))
 
@@ -311,12 +349,20 @@ def test_derivation_to_proof_validates_its_clauses():
     zero = TrivialDerivation(base=(1, 0), steps=(), result=(1, 0))
     with pytest.raises(ValueError, match="^0 is not a literal$"):
         derivation_to_proof(zero)
-    # a valid non-canonical base: the formula holds the canonical clause,
-    # the initial step the tuple as given
+    # a valid non-canonical base: the formula and the initial step both hold
+    # the canonical clause, so the proof checks against its own formula
     proof = derivation_to_proof(TrivialDerivation(base=(2, 1), steps=(), result=(2, 1)))
     assert proof.over.num_vars == 2
     assert proof.over.clauses == (Clause([1, 2]),)
-    assert proof.steps == (ResolutionStep((2, 1)),)
+    assert proof.steps == (ResolutionStep((1, 2)),)
+    # every step checks against the formula: this chain fails only for not
+    # deriving the empty clause, and with one more link it is a refutation
+    proof = derivation_to_proof(TrivialDerivation((2, -1), (((1,), 1),), (2,)))
+    assert proof.steps[0] == ResolutionStep((-1, 2))
+    chk = check_res_refutation(proof)
+    assert (chk.step, chk.reason) == (None, "proof does not end in the empty clause")
+    refutation = TrivialDerivation((2, -1), (((1,), 1), ((-2,), 2)), ())
+    assert check_res_refutation(derivation_to_proof(refutation))
 
 
 def test_check_trivial_rejects_non_positive_pivot():
@@ -741,3 +787,17 @@ def test_proof_text_roundtrip():
         with pytest.raises(ValueError, match="line 4: .*pivot"):
             parse_proof(f"i 1 0\ni -1 0\n\nr 1 2 {pivot} 0\n", f1)
     assert check_res_refutation(parse_proof("i 1 0\ni -1 0\nr 1 2 1 0\n", f1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("i 1\n", "line 1: missing terminator"),
+        ("i\n", "line 1: missing terminator"),
+        ("# c\ni 1 0\ni -1 0\nr 1 2 1\n", "line 4: missing terminator"),
+        ("i 1 0\ni -1 0\nr 1 2 1 -1\n", "line 3: missing terminator"),
+    ],
+)
+def test_parse_proof_rejects_missing_terminator(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_proof(text, CnfFormula(1, [(1,), (-1,)]))

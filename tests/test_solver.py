@@ -56,7 +56,7 @@ def test_propagation_conflict_chain():
     s = Solver(CnfFormula(2, [(1,), (-1, 2), (-2,)]))
     confl = s.propagate()
     if confl is None:
-        confl = s._pending_conflict
+        confl = s._input_conflict
     assert confl is not None
     assert s.current_level == 0
 
@@ -182,6 +182,27 @@ def test_clmm_entry_against_decision_is_skipped(graph_args):
     for rec in r.records[:-1]:
         assert chk.conflicts_when_all_false(rec.clause)
         chk.add_clause(rec.clause)
+
+
+@pytest.mark.parametrize("learning", ["first_uip", "decision"])
+def test_clmm_clash_stops_at_the_conflict_budget(learning):
+    # the third conflict is a clash: the budget stops the solve before the
+    # clash opens its level, so max_level stays at the last real decision
+    f = random_3cnf(12, 50, 0)
+    cfg = SolverConfig(
+        learning=learning,
+        sequence=random_sequence(12, 30, 0),
+        cl_minus_minus=True,
+        conflict_budget=2,
+    )
+    s = Solver(f, cfg)
+    r = s.solve()
+    assert r.status == "BUDGET_EXCEEDED"
+    assert (r.stats.conflicts, r.stats.decisions, r.stats.max_level) == (3, 11, 5)
+    assert len(r.records) == 2
+    entry = s._seq[s._seq_pos - 1]
+    assert s.lit_value(entry) == 1 and s.reasons[abs(entry)] is not None
+    assert s.current_level == 5
 
 
 def test_clmm_branch_on_false_literal_is_noop():
