@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import astuple, dataclass
-from functools import partial
-from typing import Iterable
 
 from .engine import BranchingSequence, SolverConfig, solve
 from .formula import CnfFormula
 from .generators import (
-    PebblingGraph,
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
@@ -98,28 +95,48 @@ def run_case(
     )
 
 
-def _bench_family(
+# row name of each family, as the CLI names it
+FAMILIES = {"grid": "grid", "randpeb": "random_pebbling", "gtn": "gtn"}
+
+
+def bench(
     family: str,
-    instances: Iterable[tuple],
+    sizes: list[int],
     variants: list[str],
     configs: list[str],
-    sat_seed: int,
-    conflict_budget: int,
-    decision_budget: int,
+    sat_seed: int = 0,
+    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
+    decision_budget: int = DEFAULT_DECISION_BUDGET,
+    seed: int = 1,
+    max_indegree: int = 5,
+    max_label: int = 6,
 ) -> list[BenchRow]:
-    """One row per instance, variant and config, in that order. Each instance
-    is (params, formula, sequence builder, deletion pool); the builder runs
-    only when cl_sequence is among the configs, and the pool (None for every
-    clause) is where the satisfiable variant deletes a clause."""
-    unknown = [v for v in variants if v not in ("unsat", "sat")]
-    if unknown:
-        raise ValueError(f"unknown variant {unknown[0]!r}")
-    unknown = [c for c in configs if c not in _LEARNING]
-    if unknown:
-        raise ValueError(f"unknown config label {unknown[0]!r}")
+    """One row per size, variant and config, in that order, for one family:
+    grid layer counts, randpeb node counts (graphs shaped by seed,
+    max_indegree and max_label) or gtn orders. Raises ValueError on an
+    unknown family, variant or config label before any solve."""
+    for kind, names, known in (
+        ("family", [family], FAMILIES),
+        ("variant", variants, ("unsat", "sat")),
+        ("config label", configs, _LEARNING),
+    ):
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise ValueError(f"unknown {kind} {unknown[0]!r}")
+    guided = "cl_sequence" in configs
     rows = []
-    for params, formula, build_sequence, pool in instances:
-        sequence = build_sequence() if "cl_sequence" in configs else None
+    for size in sizes:
+        if family == "gtn":
+            params, formula, pool = f"n={size}", gen_gtn(size), gtn_successor_indices(size)
+            sequence = gtn_seq(size) if guided else None
+        else:
+            if family == "grid":
+                params, graph = f"layers={size}", gen_grid(size)
+            else:
+                params = f"nodes={size};d={max_indegree};l={max_label};seed={seed}"
+                graph = gen_random_pebbling(size, max_indegree, max_label, seed)
+            formula, pool = pebbling_to_cnf(graph), None
+            sequence = peb_seq_1uip(graph) if guided else None
         for variant in variants:
             f = formula
             if variant == "sat":
@@ -127,70 +144,11 @@ def _bench_family(
             for label in configs:
                 rows.append(
                     run_case(
-                        family, params, variant, label, f, sequence,
+                        FAMILIES[family], params, variant, label, f, sequence,
                         conflict_budget, decision_budget,
                     )
                 )
     return rows
-
-
-def _pebbling_instance(params: str, graph: PebblingGraph):
-    return params, pebbling_to_cnf(graph), partial(peb_seq_1uip, graph), None
-
-
-def bench_grid(
-    layers: list[int],
-    variants: list[str],
-    configs: list[str],
-    sat_seed: int = 0,
-    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-    decision_budget: int = DEFAULT_DECISION_BUDGET,
-) -> list[BenchRow]:
-    instances = (_pebbling_instance(f"layers={L}", gen_grid(L)) for L in layers)
-    return _bench_family(
-        "grid", instances, variants, configs, sat_seed, conflict_budget, decision_budget
-    )
-
-
-def bench_random_pebbling(
-    nodes_list: list[int],
-    variants: list[str],
-    configs: list[str],
-    seed: int = 1,
-    max_indegree: int = 5,
-    max_label: int = 6,
-    sat_seed: int = 0,
-    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-    decision_budget: int = DEFAULT_DECISION_BUDGET,
-) -> list[BenchRow]:
-    instances = (
-        _pebbling_instance(
-            f"nodes={nodes};d={max_indegree};l={max_label};seed={seed}",
-            gen_random_pebbling(nodes, max_indegree, max_label, seed),
-        )
-        for nodes in nodes_list
-    )
-    return _bench_family(
-        "random_pebbling", instances, variants, configs, sat_seed,
-        conflict_budget, decision_budget,
-    )
-
-
-def bench_gtn(
-    ns: list[int],
-    variants: list[str],
-    configs: list[str],
-    sat_seed: int = 0,
-    conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-    decision_budget: int = DEFAULT_DECISION_BUDGET,
-) -> list[BenchRow]:
-    instances = (
-        (f"n={n}", gen_gtn(n), partial(gtn_seq, n), gtn_successor_indices(n))
-        for n in ns
-    )
-    return _bench_family(
-        "gtn", instances, variants, configs, sat_seed, conflict_budget, decision_budget
-    )
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

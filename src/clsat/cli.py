@@ -209,25 +209,11 @@ def _parse_names(option: str, spec: str) -> list[str]:
 def cmd_bench(args) -> int:
     configs = _parse_names("--configs", args.configs)
     variants = _parse_names("--variants", args.variants)
-    kwargs = dict(
-        variants=variants,
-        configs=configs,
-        sat_seed=args.sat_seed,
-        conflict_budget=args.conflict_budget,
-        decision_budget=args.decision_budget,
+    sizes = _parse_range({"grid": args.layers, "randpeb": args.nodes, "gtn": args.n}[args.family])
+    rows = _bench.bench(
+        args.family, sizes, variants, configs, args.sat_seed, args.conflict_budget,
+        args.decision_budget, args.seed, args.max_indegree, args.max_label,
     )
-    if args.family == "grid":
-        rows = _bench.bench_grid(_parse_range(args.layers), **kwargs)
-    elif args.family == "randpeb":
-        rows = _bench.bench_random_pebbling(
-            _parse_range(args.nodes),
-            seed=args.seed,
-            max_indegree=args.max_indegree,
-            max_label=args.max_label,
-            **kwargs,
-        )
-    else:
-        rows = _bench.bench_gtn(_parse_range(args.n), **kwargs)
     if args.csv:
         _write(args.csv, _bench.rows_to_csv(rows))
     _write(args.markdown, _bench.rows_to_markdown(rows))
@@ -324,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(first-UIP with the generated branching sequence)."
         ),
     )
-    p.add_argument("--family", choices=["grid", "randpeb", "gtn"], required=True)
+    p.add_argument("--family", choices=list(_bench.FAMILIES), required=True)
     p.add_argument("--layers", default="2..8", help='grid layer range, e.g. "2..20" or "5,10"')
     p.add_argument("--nodes", default="10,20", help="randpeb node counts")
     p.add_argument("--n", default="3..8", help="gtn order range")

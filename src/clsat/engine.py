@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import conflict as _ca
@@ -489,10 +490,7 @@ class Solver:
                 cut, redundant = _ca.scheme_first_new_cut(g, self.known)
         clause = _ca.cut_to_clause(g, cut)
         derivation = _ca.extract_trivial_derivation(g, cut, clause)
-        self._bump(clause)
-        self._bump(derivation.base)
-        for ant, _ in derivation.steps:
-            self._bump(ant)
+        self._bump(chain(clause, derivation.base, *(ant for ant, _ in derivation.steps)))
         self._decay_activity()
         backjump_level = self._install_learned(clause, g)
         if self.known is not None:

@@ -187,6 +187,7 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("ascii", errors="replace")
     num_vars = num_clauses = -1
+    header_line = 0
     clauses: list[Clause] = []
     pending: list[int] = []
     pending_line = 0
@@ -206,6 +207,7 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
                 raise DimacsError(f'malformed header: "{line}"', lineno) from None
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(f'malformed header: "{line}"', lineno)
+            header_line = lineno
             continue
         if num_vars < 0:
             raise DimacsError("clause before header", lineno)
@@ -235,7 +237,7 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
         raise DimacsError("missing header", 1)
     if len(clauses) != num_clauses:
         raise DimacsError(
-            f"header declares {num_clauses} clauses but {len(clauses)} found", 1
+            f"header declares {num_clauses} clauses but {len(clauses)} found", header_line
         )
     return CnfFormula(num_vars, clauses)
 

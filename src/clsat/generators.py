@@ -42,27 +42,37 @@ class PebblingGraph(NamedTuple):
         return sum(len(n.label) for n in self.nodes)
 
 
+class PebblingGraphError(ValueError):
+    """A broken graph rule, carrying the node at fault (None for the sinks)."""
+
+    def __init__(self, message: str, node: int | None = None):
+        self.node = node
+        super().__init__(message)
+
+
 def validate_pebbling_graph(g: PebblingGraph) -> None:
     seen_vars: set[int] = set()
     pred_of_someone: set[int] = set()
     for i, n in enumerate(g.nodes, start=1):
         if n.id != i:
-            raise ValueError("node ids must be dense and ascending from 1")
+            raise PebblingGraphError("node ids must be dense and ascending from 1", n.id)
         if not n.label:
-            raise ValueError(f"node {n.id} has an empty label")
+            raise PebblingGraphError(f"node {n.id} has an empty label", n.id)
         for v in n.label:
             if v <= 0:
-                raise ValueError(f"node {n.id} label contains non-variable {v}")
+                raise PebblingGraphError(f"node {n.id} label contains non-variable {v}", n.id)
             if v in seen_vars:
-                raise ValueError(f"variable {v} appears in two node labels")
+                raise PebblingGraphError(f"variable {v} appears in two node labels", n.id)
             seen_vars.add(v)
         for p in n.preds:
             if not 1 <= p < n.id:
-                raise ValueError(f"node {n.id} has non-topological predecessor {p}")
+                raise PebblingGraphError(f"node {n.id} has non-topological predecessor {p}", n.id)
         pred_of_someone.update(n.preds)
     sinks = {n.id for n in g.nodes} - pred_of_someone
     if sinks != {g.target}:
-        raise ValueError(f"graph must have the target as its unique sink, sinks={sorted(sinks)}")
+        raise PebblingGraphError(
+            f"graph must have the target as its unique sink, sinks={sorted(sinks)}"
+        )
 
 
 def gen_grid(layers: int) -> PebblingGraph:
@@ -250,9 +260,14 @@ def write_pebbling_graph(g: PebblingGraph) -> str:
 
 
 def parse_pebbling_graph(text: str) -> PebblingGraph:
+    """Parse the text form write_pebbling_graph emits. Every error names a
+    line: a broken graph rule the line of the node at fault (the `t` line
+    for the sinks), a missing header or target line 1."""
     count = -1
     nodes: dict[int, PebNode] = {}
+    node_line: dict[int, int] = {}
     target = None
+    header_line = target_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -265,6 +280,7 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
                 if count >= 0:
                     raise ValueError("duplicate header")
                 count = int(parts[2])
+                header_line = lineno
             elif parts[0] == "n":
                 if "|" not in parts:
                     raise ValueError("node line missing '|'")
@@ -275,20 +291,26 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
                 label = tuple(int(t) for t in parts[2:bar])
                 preds = tuple(int(t) for t in parts[bar + 1 :])
                 nodes[nid] = PebNode(nid, label, preds)
+                node_line[nid] = lineno
             elif parts[0] == "t":
                 if len(parts) != 2:
                     raise ValueError("target line needs exactly one node id")
                 if target is not None:
                     raise ValueError("duplicate target line")
                 target = int(parts[1])
+                target_line = lineno
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if count < 0 or target is None:
-        raise ValueError("missing header or target line")
+        raise ValueError("line 1: missing header or target line")
     if sorted(nodes) != list(range(1, count + 1)):
-        raise ValueError("node ids must cover 1..N")
+        raise ValueError(f"line {header_line}: node ids must cover 1..N")
     g = PebblingGraph(tuple(nodes[i] for i in range(1, count + 1)), target)
-    validate_pebbling_graph(g)
+    try:
+        validate_pebbling_graph(g)
+    except PebblingGraphError as exc:
+        line = target_line if exc.node is None else node_line[exc.node]
+        raise ValueError(f"line {line}: {exc}") from None
     return g

@@ -205,23 +205,19 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
 def derivation_to_proof(derivation) -> ResolutionProof:
     """Lift a trivial derivation into a standalone resolution proof whose
     formula consists of the known clauses the derivation uses, so it can be
-    checked with the generic checkers. Raises ValueError when the chain does
-    not yield the derivation's result."""
-    base, links = derivation.base, derivation.steps
-    known = dict.fromkeys([base, *(ant for ant, _ in links)])  # first occurrences, in order
+    checked with the generic checkers. The base, the antecedents and the
+    result are lifted in canonical form, the form the formula holds, so
+    every initial step is a clause of the formula. Raises ValueError when a
+    clause is not one or the chain does not yield the derivation's result."""
     # canonical_literals validates as Clause() does, without its frame, and
     # returns a canonical tuple as it is
-    canon = [canonical_literals(c) for c in known]
-    clauses = [Clause._trusted(c) for c in canon]
+    base = canonical_literals(derivation.base)
+    links = tuple((canonical_literals(ant), pivot) for ant, pivot in derivation.steps)
+    known = dict.fromkeys([base, *(ant for ant, _ in links)])  # first occurrences, in order
+    clauses = [Clause._trusted(c) for c in known]
     over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
-    result = canonical_literals(derivation.result)
-    if result is not derivation.result or canon != list(known):
-        # lift a hand-built derivation in canonical form, as the formula holds it
-        to = dict(zip(known, canon))
-        derivation = TrivialDerivation(to[base], tuple((to[a], p) for a, p in links), result)
-        known = dict.fromkeys(canon)
     steps: list[ResolutionStep] = []
-    _lift(derivation, steps, {}, known)
+    _lift(TrivialDerivation(base, links, canonical_literals(derivation.result)), steps, {}, known)
     return ResolutionProof(over, tuple(steps))
 
 
@@ -636,48 +632,25 @@ class UnitPropagationChecker:
             return
         assert self.qhead == len(self.trail), "add_clause during assumptions"
         values = self.values
-        cl = list(lits)
-        if not cl:
-            self.base_conflict = True
-            self.clauses.append(cl)
-            return
-        if len(cl) == 1:
-            self.clauses.append(cl)
-            lit = cl[0]
-            val = values[lit] if lit > 0 else -values[-lit]
-            if val == -1:
-                self.base_conflict = True
-            elif val == 0:
-                values[abs(lit)] = 1 if lit > 0 else -1
-                self.trail.append(lit)
-                if self._propagate():
-                    self.base_conflict = True
-            return
         # watch two non-false literals so the invariant holds under the
-        # current base assignment: true literals first, then unassigned, in
-        # clause order
-        false: list[int] = []
-        unassigned: list[int] = []
-        true: list[int] = []
-        by_value = (false, unassigned, true)
-        for lit in cl:
-            by_value[(values[lit] if lit > 0 else -values[-lit]) + 1].append(lit)
-        cl = true + unassigned + false
+        # current base assignment: a stable sort puts true literals first,
+        # then unassigned, then false, in clause order within each
+        cl = sorted(lits, key=lambda l: values[l] if l > 0 else -values[-l], reverse=True)
         ci = len(self.clauses)
         self.clauses.append(cl)
-        w0, w1 = cl[0], cl[1]
-        self.watches[2 * w0 if w0 > 0 else -2 * w0 + 1].append(ci)
-        self.watches[2 * w1 if w1 > 0 else -2 * w1 + 1].append(ci)
-        if true:
-            return
-        if not unassigned:
+        # a unit clause's one watch is never visited: from here on its
+        # literal is true at the base, or the base conflicts
+        for w in cl[:2]:
+            self.watches[2 * w if w > 0 else -2 * w + 1].append(ci)
+        # the value of the first two literals, a missing literal counting as false
+        v0, v1, *_ = [values[l] if l > 0 else -values[-l] for l in cl[:2]] + [-1, -1]
+        if v0 == -1:
             self.base_conflict = True
-        elif len(unassigned) == 1:
-            lit = unassigned[0]
+        elif v0 == 0 and v1 == -1:  # unit under the base assignment
+            lit = cl[0]
             values[abs(lit)] = 1 if lit > 0 else -1
             self.trail.append(lit)
-            if self._propagate():
-                self.base_conflict = True
+            self.base_conflict = self._propagate()
 
     def _propagate(self) -> bool:
         """Propagate to fixpoint; True on conflict."""

@@ -356,6 +356,29 @@ def test_bench_rejects_unknown_config_before_solving(tmp_path, capsys, monkeypat
     assert not md.exists()
 
 
+@pytest.mark.parametrize(
+    "family, variants, configs, message",
+    [
+        ("pebbling", ["unsat"], ["dpll"], "^unknown family 'pebbling'$"),
+        ("grid", ["unsat", "foo"], ["dpll"], "^unknown variant 'foo'$"),
+        ("gtn", ["sat"], ["cl_default", "foo"], "^unknown config label 'foo'$"),
+    ],
+)
+def test_library_bench_rejects_unknown_names_before_solving(
+    monkeypatch, family, variants, configs, message
+):
+    import clsat.bench
+
+    solves = []
+    real_solve = clsat.bench.solve
+    monkeypatch.setattr(
+        clsat.bench, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k)
+    )
+    with pytest.raises(ValueError, match=message):
+        clsat.bench.bench(family, [3, 4], variants, configs)
+    assert solves == []
+
+
 def test_solve_sequence_with_unknown_variable(tmp_path, capsys):
     cnf = tmp_path / "u.cnf"
     cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")

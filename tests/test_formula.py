@@ -94,6 +94,7 @@ def test_parse_dimacs_errors_name_lines():
         ("p cnf 1 1\n1 a 0\n", 2, 'bad literal token "a"'),
         ("c only a comment\n", 1, "missing header"),
         ("", 1, "missing header"),
+        ("c x\nc y\np cnf 2 2\n1 0\n", 3, "header declares 2 clauses but 1 found"),
     ],
 )
 def test_parse_dimacs_rejects_with_line(text, line, message):

@@ -190,11 +190,14 @@ def test_pebbling_graph_file_roundtrip():
         ("p foo 1\nn 1 1 |\nt 1\n", "line 1: malformed header"),
         ("p peb 1\nn 1 1\nt 1\n", "line 2: node line missing '\\|'"),
         ("p peb 1\nn 1 1 |\nq 1\n", "line 3: unrecognized line 'q 1'"),
-        ("p peb 1\nn 1 1 |\n", "^missing header or target line$"),
-        ("n 1 1 |\nt 1\n", "^missing header or target line$"),
-        ("p peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^node ids must cover 1\.\.N$"),
-        ("p peb 1\nn 1 |\nt 1\n", "^node 1 has an empty label$"),
-        ("p peb 2\nn 1 1 | 2\nn 2 2 |\nt 1\n", "^node 1 has non-topological predecessor 2$"),
+        ("p peb 1\nn 1 1 |\n", "^line 1: missing header or target line$"),
+        ("n 1 1 |\nt 1\n", "^line 1: missing header or target line$"),
+        ("p peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^line 1: node ids must cover 1\.\.N$"),
+        ("# g\np peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^line 2: node ids must cover 1\.\.N$"),
+        ("p peb 1\nn 1 |\nt 1\n", "^line 2: node 1 has an empty label$"),
+        ("p peb 2\nn 1 1 | 2\nn 2 2 |\nt 1\n", "^line 2: node 1 has non-topological predecessor 2$"),
+        ("p peb 2\nn 2 2 | 1\nn 1 2 |\nt 2\n", "^line 2: variable 2 appears in two node labels$"),
+        ("p peb 2\nn 1 1 |\nn 2 2 | 1\n\nt 1\n", r"^line 5: graph must have the target as its unique sink, sinks=\[2\]$"),
     ],
 )
 def test_pebbling_graph_parse_errors(text, message):
