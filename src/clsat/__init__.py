@@ -3,7 +3,6 @@ branching-sequence generation, and proof-complexity benchmark formulas."""
 
 from .conflict import (
     ConflictGraph,
-    Cut,
     LearnedClauseRecord,
     TrivialDerivation,
     build_conflict_graph,

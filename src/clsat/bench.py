@@ -107,14 +107,15 @@ def bench(
     sat_seed: int = 0,
     conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
     decision_budget: int = DEFAULT_DECISION_BUDGET,
-    seed: int = 1,
-    max_indegree: int = 5,
-    max_label: int = 6,
+    seed: int | None = None,
+    max_indegree: int | None = None,
+    max_label: int | None = None,
 ) -> list[BenchRow]:
     """One row per size, variant and config, in that order, for one family:
     grid layer counts, randpeb node counts (graphs shaped by seed,
-    max_indegree and max_label) or gtn orders. Raises ValueError on an
-    unknown family, variant or config label before any solve."""
+    max_indegree and max_label, default 1, 5 and 6) or gtn orders. Raises
+    ValueError before any solve on an unknown family, variant or config
+    label, and on a graph-shape argument given for another family."""
     for kind, names, known in (
         ("family", [family], FAMILIES),
         ("variant", variants, ("unsat", "sat")),
@@ -123,6 +124,12 @@ def bench(
         unknown = [n for n in names if n not in known]
         if unknown:
             raise ValueError(f"unknown {kind} {unknown[0]!r}")
+    for name, value in (("seed", seed), ("max_indegree", max_indegree), ("max_label", max_label)):
+        if value is not None and family != "randpeb":
+            raise ValueError(f"{name} applies only to family randpeb")
+    seed = 1 if seed is None else seed
+    max_indegree = 5 if max_indegree is None else max_indegree
+    max_label = 6 if max_label is None else max_label
     guided = "cl_sequence" in configs
     rows = []
     for size in sizes:

@@ -146,12 +146,12 @@ def cmd_solve(args) -> int:
 def _format_graphs(graphs) -> str:
     lines = []
     for i, g in enumerate(graphs, start=1):
-        lines.append(f"# conflict {i} var={g.conflict_var} level={g.conflict_level}")
+        lines.append(f"# conflict {i} var={abs(g.conflict_literals[1])} level={g.conflict_level}")
         for n in g.nodes:
-            kind = "decision" if n in g.decisions else "implied"
+            kind = "decision" if g.antecedents[n] is None else "implied"
             lines.append(f"node {n} {kind} level={g.level[n]}")
         for n in g.nodes:
-            for p in g.preds[n]:
+            for p in g.preds(n):
                 lines.append(f"edge {p} {n}")
         for cl in g.conflict_literals:
             lines.append(f"edge {cl} conflict")
@@ -206,10 +206,23 @@ def _parse_names(option: str, spec: str) -> list[str]:
     return names
 
 
+# the family that reads each family-specific bench option, and the size range
+# each family runs when none is given (bench() fills in the randpeb shape)
+_OPTION_FAMILY = {
+    "layers": "grid", "nodes": "randpeb", "n": "gtn",
+    "seed": "randpeb", "max_indegree": "randpeb", "max_label": "randpeb",
+}
+_DEFAULT_SIZES = {"grid": "2..8", "randpeb": "10,20", "gtn": "3..8"}
+
+
 def cmd_bench(args) -> int:
+    for name, family in _OPTION_FAMILY.items():
+        if family != args.family and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to --family {family}")
     configs = _parse_names("--configs", args.configs)
     variants = _parse_names("--variants", args.variants)
-    sizes = _parse_range({"grid": args.layers, "randpeb": args.nodes, "gtn": args.n}[args.family])
+    spec = {"grid": args.layers, "randpeb": args.nodes, "gtn": args.n}[args.family]
+    sizes = _parse_range(_DEFAULT_SIZES[args.family] if spec is None else spec)
     rows = _bench.bench(
         args.family, sizes, variants, configs, args.sat_seed, args.conflict_budget,
         args.decision_budget, args.seed, args.max_indegree, args.max_label,
@@ -311,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--family", choices=list(_bench.FAMILIES), required=True)
-    p.add_argument("--layers", default="2..8", help='grid layer range, e.g. "2..20" or "5,10"')
-    p.add_argument("--nodes", default="10,20", help="randpeb node counts")
-    p.add_argument("--n", default="3..8", help="gtn order range")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-indegree", type=int, default=5)
-    p.add_argument("--max-label", type=int, default=6)
+    p.add_argument("--layers", help='grid layer range, e.g. "2..20" or "5,10" (default 2..8)')
+    p.add_argument("--nodes", help="randpeb node counts (default 10,20)")
+    p.add_argument("--n", help="gtn order range (default 3..8)")
+    p.add_argument("--seed", type=int, help="randpeb graph seed (default 1)")
+    p.add_argument("--max-indegree", type=int, help="randpeb (default 5)")
+    p.add_argument("--max-label", type=int, help="randpeb (default 6)")
     p.add_argument("--sat-seed", type=int, default=0)
     p.add_argument("--configs", default="dpll,cl_default,cl_sequence")
     p.add_argument("--variants", default="unsat,sat")

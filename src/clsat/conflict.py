@@ -4,14 +4,14 @@ A conflict graph is a snapshot of the reasons behind one conflict: its nodes
 are the trail literals that feed the conflict (each labeled by the literal
 that is true on the trail), plus one "virtual" node for the conflicting
 clause's latest-falsified literal, so the conflict variable appears with both
-polarities. Decision literals are the sources; every other node's
+polarities. Decisions (the sources) have no antecedent; every other node's
 predecessors are exactly the falsified literals of its antecedent clause. The
 empty-clause sink is kept implicit: both conflict literals have an edge to it.
 
 A cut partitions the nodes into a reason side (holding every decision) and a
-conflict side (holding the sink and at least one conflict literal). The
-negations of the reason-side nodes with an edge across the cut form the
-learned clause.
+conflict side (holding the sink and at least one conflict literal); it is
+the frozenset of its conflict-side nodes. The negations of the reason-side
+nodes with an edge across the cut form the learned clause.
 """
 
 from __future__ import annotations
@@ -45,32 +45,23 @@ class ConflictGraph:
 
     Both come from one backward walk over the trail. `build_conflict_graph`
     builds the whole graph: every node that feeds the conflict.
-    `first_uip_cut` builds only what its cut reads: the conflict side, whose
-    nodes carry their predecessors, and the frontier, whose nodes carry empty
-    `preds`. The engine learns first-UIP clauses from the partial graph;
-    `graph_sink` always receives whole graphs.
+    `first_uip_cut` builds only what its cut reads: the conflict side and
+    the frontier, whose nodes have antecedents but may have predecessors
+    outside the graph. The engine learns first-UIP clauses from the partial
+    graph; `graph_sink` always receives whole graphs.
     """
 
     nodes: tuple[int, ...]  # node literals, in trail order (virtual node last)
-    preds: dict[int, tuple[int, ...]]  # in the canonical order of the antecedent
     antecedents: dict[int, tuple[int, ...] | None]  # None exactly for decisions
-    decisions: frozenset[int]
-    conflict_var: int
-    conflict_literals: tuple[int, int]  # (earlier-assigned, later/virtual)
+    conflict_literals: tuple[int, int]  # (earlier, later/virtual), on the conflict variable
     level: dict[int, int]
     position: dict[int, float]
     conflict_level: int
 
-
-@dataclass(frozen=True)
-class Cut:
-    """A reason/conflict-side partition, stored as the conflict-side node set.
-
-    The empty-clause sink is implicitly on the conflict side; the reason side
-    is every graph node not listed here.
-    """
-
-    conflict_side: frozenset[int]
+    def preds(self, n: int) -> tuple[int, ...]:
+        """The nodes with an edge into n, in the order of its antecedent."""
+        ant = self.antecedents[n]
+        return () if ant is None else tuple(-x for x in ant if x != n)
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ def first_uip_cut(
     state: TrailState,
     conflicting: tuple[int, ...] | None = None,
     clash_decision: int | None = None,
-) -> tuple[ConflictGraph, Cut]:
+) -> tuple[ConflictGraph, frozenset[int]]:
     """The first-UIP cut from one backward walk over the trail (Zhang et al.,
     ICCAD 2001), without building the whole conflict graph.
 
@@ -128,7 +119,7 @@ def first_uip_cut(
     they give for `scheme_first_uip` on the whole graph.
     """
     g, side = _walk(state, conflicting, clash_decision, False)
-    return g, Cut(frozenset(side))
+    return g, frozenset(side)
 
 
 def _walk(
@@ -140,41 +131,39 @@ def _walk(
     """The backward trail walk behind both builders: marked conflict-level
     nodes in descending trail position, then a stack for the marked nodes
     below the conflict level. With `whole` it expands every implied node;
-    without it, it works as `first_uip_cut` says. Returns the graph and the
-    expanded nodes (for first-UIP, the cut's conflict side)."""
+    without it, it works as `first_uip_cut` says. A node is marked when it
+    gets its level and antecedent, so `level` holds the marked nodes, and
+    expanding a node marks the negations of its antecedent's other literals.
+    Returns the graph and the expanded nodes (for first-UIP, the cut's
+    conflict side)."""
     trail, levels, positions = state.trail, state.levels, state.positions
     reason_of = state.reason_literals
     lvl = state.current_level
-    preds: dict[int, tuple[int, ...]] = {}
     antecedents: dict[int, tuple[int, ...] | None] = {}
     level: dict[int, int] = {}
     position: dict[int, float] = {}
     side: set[int] = set()
-    seen: set[int] = set()  # variables
     at_level = 0  # marked conflict-level nodes the walk has not reached yet
     lower: list[int] = []  # marked nodes below the conflict level to expand
 
-    def expand(node: int, ant: tuple[int, ...] | None) -> None:
+    def expand(node: int) -> None:
         nonlocal at_level
-        antecedents[node] = ant
+        ant = antecedents[node]
         if ant is None:  # a decision
-            preds[node] = ()
             return
         side.add(node)
-        ps = preds[node] = tuple(-x for x in ant if x != node)
-        for p in ps:
-            v = abs(p)
-            if v in seen:
+        for x in ant:
+            p = -x
+            if x == node or p in level:
                 continue
-            seen.add(v)
+            v = abs(x)
             lv = level[p] = levels[v]
             position[p] = positions[v]
+            antecedents[p] = reason_of(v)
             if lv == lvl:
                 at_level += 1
             elif whole or lv == 0:
                 lower.append(p)
-            else:
-                antecedents[p], preds[p] = reason_of(v), ()
 
     if clash_decision is not None:
         # the branch is the only conflict-level node, so it is the UIP, and
@@ -185,10 +174,9 @@ def _walk(
         if ant is None:
             raise ValueError("cannot analyze a clash between two decisions")
         conflict_literals = (-uip, uip)
-        seen.add(v)
-        level[uip], position[uip], antecedents[uip], preds[uip] = lvl, _INF, None, ()
-        level[-uip], position[-uip] = levels[v], positions[v]
-        expand(-uip, ant)
+        level[uip], position[uip], antecedents[uip] = lvl, _INF, None
+        level[-uip], position[-uip], antecedents[-uip] = levels[v], positions[v], ant
+        expand(-uip)
     elif conflicting:
         # the engine meets every conflict at the level of its latest-falsified
         # literal (docs/DECISIONS.md, "One walk builds every conflict graph")
@@ -197,37 +185,28 @@ def _walk(
         if levels[v] != lvl or (lvl == 0 and not whole):
             raise ValueError("conflict has no node at the conflict level")
         conflict_literals = (-lstar, lstar)
-        seen.add(v)
-        level[lstar], position[lstar] = lvl, _INF
-        level[-lstar], position[-lstar] = lvl, positions[v]
+        level[lstar], position[lstar], antecedents[lstar] = lvl, _INF, conflicting
+        level[-lstar], position[-lstar], antecedents[-lstar] = lvl, positions[v], reason_of(v)
         at_level = 1  # the trail literal -lstar
-        expand(lstar, conflicting)
+        expand(lstar)
         i = positions[v]
         while at_level:
             node = trail[i]
             i -= 1
-            u = abs(node)
-            if u not in seen:
+            if node not in level:
                 continue
             at_level -= 1
-            if whole or at_level:
-                expand(node, reason_of(u))
-            else:  # the first UIP
-                antecedents[node], preds[node] = reason_of(u), ()
+            if whole or at_level:  # without `whole`, the last one is the first UIP
+                expand(node)
     else:
         raise ValueError("need a nonempty conflicting clause or a clash literal")
 
     while lower:
-        node = lower.pop()
-        expand(node, reason_of(abs(node)))
+        expand(lower.pop())
 
-    nodes = tuple(sorted(level, key=position.__getitem__))
     g = ConflictGraph(
-        nodes=nodes,
-        preds=preds,
+        nodes=tuple(sorted(level, key=position.__getitem__)),
         antecedents=antecedents,
-        decisions=frozenset(n for n in nodes if antecedents[n] is None),
-        conflict_var=abs(conflict_literals[1]),
         conflict_literals=conflict_literals,
         level=level,
         position=position,
@@ -236,37 +215,35 @@ def _walk(
     return g, side
 
 
-def frontier(g: ConflictGraph, cut: Cut) -> set[int]:
+def frontier(g: ConflictGraph, cut: frozenset[int]) -> set[int]:
     """Reason-side nodes with an edge into the conflict side (or into the sink)."""
-    side = cut.conflict_side
+    ants = g.antecedents
     out = set()
-    for n in side:
-        for p in g.preds[n]:
-            if p not in side:
-                out.add(p)
+    for n in cut:
+        for x in ants[n] or ():
+            if x != n and -x not in cut:
+                out.add(-x)
     for cl in g.conflict_literals:
-        if cl not in side:
+        if cl not in cut:
             out.add(cl)
     return out
 
 
-def cut_to_clause(g: ConflictGraph, cut: Cut) -> tuple[int, ...]:
+def cut_to_clause(g: ConflictGraph, cut: frozenset[int]) -> tuple[int, ...]:
     """The learned clause of a cut: negations of its frontier literals."""
     return canonical_literals(-u for u in frontier(g, cut))
 
 
-def cut_is_valid(g: ConflictGraph, cut: Cut) -> bool:
+def cut_is_valid(g: ConflictGraph, cut: frozenset[int]) -> bool:
     """Check the side conditions: decisions on the reason side, at least one
     conflict literal (plus the implicit sink) on the conflict side."""
-    side = cut.conflict_side
-    if not side <= set(g.nodes):
+    # a node outside the graph has no antecedent either, and fails too
+    if any(g.antecedents.get(n) is None for n in cut):
         return False
-    if side & g.decisions:
-        return False
-    return any(cl in side for cl in g.conflict_literals)
+    return any(cl in cut for cl in g.conflict_literals)
 
 
-def scheme_first_uip(g: ConflictGraph) -> Cut:
+def scheme_first_uip(g: ConflictGraph) -> frozenset[int]:
     """First-UIP cut: conflict side holds everything at the conflict level
     strictly after the first unique implication point, both conflict literals
     (when they are not the UIP or a decision), and all level-0 nodes of the
@@ -276,7 +253,8 @@ def scheme_first_uip(g: ConflictGraph) -> Cut:
     of the UIP.
     """
     lvl = g.conflict_level
-    side = {n for n in g.nodes if g.level[n] == 0 and n not in g.decisions}
+    ants = g.antecedents
+    side = {n for n in g.nodes if g.level[n] == 0 and ants[n] is not None}
     seen = set(side)
     heap: list[tuple[float, int]] = []
 
@@ -293,34 +271,34 @@ def scheme_first_uip(g: ConflictGraph) -> Cut:
         raise ValueError("conflict has no node at the conflict level")
     while True:
         _, n = heappop(heap)
-        if not heap or n in g.decisions:
+        if not heap or ants[n] is None:
             uip = n
             break
         side.add(n)
-        for p in g.preds[n]:
+        for p in g.preds(n):
             mark(p)
     side.update(
-        cl for cl in g.conflict_literals if cl != uip and cl not in g.decisions
+        cl for cl in g.conflict_literals if cl != uip and ants[cl] is not None
     )
-    return Cut(frozenset(side))
+    return frozenset(side)
 
 
-def scheme_decision(g: ConflictGraph) -> Cut:
+def scheme_decision(g: ConflictGraph) -> frozenset[int]:
     """Decision cut: the reason side is exactly the decision literals."""
-    return Cut(frozenset(n for n in g.nodes if n not in g.decisions))
+    return frozenset(n for n in g.nodes if g.antecedents[n] is not None)
 
 
-def scheme_relsat(g: ConflictGraph) -> Cut:
+def scheme_relsat(g: ConflictGraph) -> frozenset[int]:
     """rel-sat cut: conflict side = implied nodes of the conflict level plus
     the conflict literals; implied literals of lower levels stay on the
     reason side (and so may appear in the clause)."""
     lvl = g.conflict_level
-    side = {n for n in g.nodes if n not in g.decisions and g.level[n] == lvl}
-    side.update(cl for cl in g.conflict_literals if cl not in g.decisions)
-    return Cut(frozenset(side))
+    side = {n for n in g.nodes if g.antecedents[n] is not None and g.level[n] == lvl}
+    side.update(cl for cl in g.conflict_literals if g.antecedents[cl] is not None)
+    return frozenset(side)
 
 
-def minimize_cut(g: ConflictGraph, cut: Cut) -> Cut:
+def minimize_cut(g: ConflictGraph, cut: frozenset[int]) -> frozenset[int]:
     """Shrink a cut's clause: walk the frontier once, in descending trail
     position, and move each non-decision node whose predecessors all lie in
     the current frontier to the conflict side.
@@ -330,18 +308,19 @@ def minimize_cut(g: ConflictGraph, cut: Cut) -> Cut:
     predecessors at all (a literal implied by a known unit clause) satisfies
     the condition vacuously and is absorbed.
     """
-    side = set(cut.conflict_side)
+    side = set(cut)
     s = frontier(g, cut)
     for v in sorted(s, key=lambda n: -g.position[n]):
-        if v not in g.decisions and all(p in s for p in g.preds[v]):
+        ant = g.antecedents[v]
+        if ant is not None and all(x == v or -x in s for x in ant):
             s.remove(v)
             side.add(v)
-    return Cut(frozenset(side))
+    return frozenset(side)
 
 
 def scheme_first_new_cut(
     g: ConflictGraph, known: set[tuple[int, ...]]
-) -> tuple[Cut, bool]:
+) -> tuple[frozenset[int], bool]:
     """FirstNewCut: grow the cut from the conflict until its minimized clause
     is not already known.
 
@@ -352,33 +331,33 @@ def scheme_first_new_cut(
     minimized cut and a flag that is True when even the terminal cut's clause
     was already known (non-redundancy could not be honored).
     """
+    ants = g.antecedents
     earlier, later = g.conflict_literals
-    c = later if later not in g.decisions else earlier
+    c = later if ants[later] is not None else earlier
     other = earlier if c == later else later
     side = {c}
     while True:
-        cand = minimize_cut(g, Cut(frozenset(side)))
+        cand = minimize_cut(g, frozenset(side))
         clause = cut_to_clause(g, cand)
         if clause not in known:
             return cand, False
-        if other not in side and other not in g.decisions:
+        if other not in side and ants[other] is not None:
             side.add(other)
             continue
-        expanded = False
         for n in sorted(side, key=lambda n: -g.position[n]):
             movable = [
-                p for p in g.preds[n] if p not in side and p not in g.decisions
+                -x for x in ants[n]
+                if x != n and -x not in side and ants[-x] is not None
             ]
             if movable:
                 side.update(movable)
-                expanded = True
                 break
-        if not expanded:
+        else:
             return cand, True
 
 
 def extract_trivial_derivation(
-    g: ConflictGraph, cut: Cut, clause: tuple[int, ...] | None = None
+    g: ConflictGraph, cut: frozenset[int], clause: tuple[int, ...] | None = None
 ) -> TrivialDerivation:
     """Derive the cut's clause by resolving antecedents of conflict-side nodes.
 
@@ -391,7 +370,7 @@ def extract_trivial_derivation(
     against `clause` when the caller already has `cut_to_clause(g, cut)`,
     and against a fresh `cut_to_clause` otherwise.
     """
-    side = sorted(cut.conflict_side, key=lambda n: g.position[n], reverse=True)
+    side = sorted(cut, key=lambda n: g.position[n], reverse=True)
     if not side:
         raise ValueError("conflict side is empty")
     base_node = side[0]

@@ -529,7 +529,7 @@ class Solver:
             if self.lit_value(ordered[0]) == 0:
                 self._enqueue(ordered[0], ci)
             return bt
-        flip_of = next(n for n in g.decisions if level[n] == lvl)
+        flip_of = next(n for n, ant in g.antecedents.items() if ant is None and level[n] == lvl)
         self.backjump(lvl - 1)
         self._add_clause(clause, ordered)
         # every decision at the conflict level is unassigned by the backjump

@@ -193,6 +193,43 @@ def test_dump_graphs_edges_follow_antecedent_order(tmp_path):
             assert variables == sorted(variables), (block.split()[0], n)
 
 
+# sha256 prefixes of the whole --dump-graphs output for random_3cnf(8, 34,
+# seed=905): one run per learning scheme and one CL-- run with a sequence,
+# recorded while the graph still stored its edges and decisions
+DUMP_DIGESTS = {
+    ("--learning", "first_uip"): "046cb51e14337308",
+    ("--learning", "decision"): "bcf8f6ba37bec8ff",
+    ("--learning", "relsat"): "bcf8f6ba37bec8ff",
+    ("--learning", "first_new_cut"): "687d0203e5f7b5bd",
+    ("--cl-minus-minus", "--sequence"): "b75df13efdbe477e",
+}
+
+
+def test_dump_graphs_golden_digest(tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(write_dimacs(random_3cnf(8, 34, seed=905)))
+    seq = tmp_path / "f.seq"
+    seq.write_text("7\n2\n6\n4\n")
+    texts = {}
+    for options, digest in DUMP_DIGESTS.items():
+        dump = tmp_path / "graphs.txt"
+        args = [*options, str(seq)] if "--sequence" in options else list(options)
+        assert run(["solve", str(cnf), *args, "--dump-graphs", str(dump)]) == 10
+        text = texts[options] = dump.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, options
+    # the CL-- run meets a clash: the branch on the conflict variable is a
+    # reason-less decision node
+    clashes = []
+    for block in texts["--cl-minus-minus", "--sequence"].split("# conflict ")[1:]:
+        var = int(block.split()[1].removeprefix("var="))
+        clashes += [
+            line for line in block.splitlines()
+            if line.startswith("node ") and abs(int(line.split()[1])) == var
+            and line.split()[2] == "decision"
+        ]
+    assert clashes
+
+
 def test_bench_csv_and_markdown(tmp_path):
     csv_path = tmp_path / "rows.csv"
     md_path = tmp_path / "rows.md"
@@ -377,6 +414,52 @@ def test_library_bench_rejects_unknown_names_before_solving(
     with pytest.raises(ValueError, match=message):
         clsat.bench.bench(family, [3, 4], variants, configs)
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "family, option, owner",
+    [
+        ("grid", ("--seed", "2"), "randpeb"),
+        ("gtn", ("--max-indegree", "-3"), "randpeb"),
+        ("grid", ("--max-label", "0"), "randpeb"),
+        ("randpeb", ("--layers", "2..3"), "grid"),
+        ("gtn", ("--nodes", "6"), "randpeb"),
+        ("randpeb", ("--n", "3"), "gtn"),
+    ],
+)
+def test_bench_rejects_options_its_family_ignores(
+    tmp_path, capsys, monkeypatch, family, option, owner
+):
+    import clsat.bench
+
+    solves = []
+    real_solve = clsat.bench.solve
+    monkeypatch.setattr(
+        clsat.bench, "solve", lambda *a, **k: solves.append(1) or real_solve(*a, **k)
+    )
+    md = tmp_path / "t.md"
+    assert run(["bench", "--family", family, *option, "--markdown", str(md)]) == 1
+    assert capsys.readouterr().err == f"error: {option[0]} applies only to --family {owner}\n"
+    assert solves == []
+    assert not md.exists()
+
+
+@pytest.mark.parametrize("family", ["grid", "gtn"])
+@pytest.mark.parametrize("name", ["seed", "max_indegree", "max_label"])
+def test_library_bench_rejects_shape_for_other_families(family, name):
+    from clsat.bench import bench
+
+    with pytest.raises(ValueError, match=f"^{name} applies only to family randpeb$"):
+        bench(family, [3], ["unsat"], ["dpll"], **{name: 2})
+
+
+def test_library_bench_fills_in_the_randpeb_shape():
+    from clsat.bench import bench
+
+    (row,) = bench("randpeb", [6], ["unsat"], ["cl_sequence"])
+    assert row.params == "nodes=6;d=5;l=6;seed=1"
+    (row,) = bench("randpeb", [6], ["unsat"], ["cl_sequence"], max_label=2)
+    assert row.params == "nodes=6;d=5;l=2;seed=1"
 
 
 def test_solve_sequence_with_unknown_variable(tmp_path, capsys):

@@ -20,7 +20,6 @@ from clsat import (
 from clsat import conflict
 from clsat.conflict import (
     ConflictGraph,
-    Cut,
     build_conflict_graph,
     cut_is_valid,
     cut_to_clause,
@@ -49,11 +48,11 @@ def pqr_graph():
 
 def test_pqr_graph_shape():
     g, _ = pqr_graph()
-    assert g.conflict_var == 3
-    assert g.decisions == {1}
-    assert g.preds[2] == (1,)
-    assert g.preds[3] == (1,)
-    assert g.preds[-3] == (2,)  # the falsified-clause node
+    assert abs(g.conflict_literals[1]) == 3
+    assert {n for n in g.nodes if g.antecedents[n] is None} == {1}
+    assert g.preds(2) == (1,)
+    assert g.preds(3) == (1,)
+    assert g.preds(-3) == (2,)  # the falsified-clause node
     assert set(g.conflict_literals) == {3, -3}
 
 
@@ -62,7 +61,7 @@ def test_pqr_schemes():
     assert cut_to_clause(g, scheme_first_uip(g)) == (-1,)
     assert cut_to_clause(g, scheme_decision(g)) == (-1,)
     relsat = scheme_relsat(g)
-    assert relsat.conflict_side == frozenset({2, 3, -3})
+    assert relsat == frozenset({2, 3, -3})
     assert cut_to_clause(g, relsat) == (-1,)
     cut, redundant = scheme_first_new_cut(g, f.clause_set())
     assert not redundant
@@ -74,7 +73,7 @@ def test_pqr_schemes():
 def test_pqr_minimize_example():
     g, _ = pqr_graph()
     # conflict side {-r, q}: frontier {p, r}; r's only predecessor is p
-    cut = Cut(frozenset({-3, 2}))
+    cut = frozenset({-3, 2})
     assert frontier(g, cut) == {1, 3}
     assert cut_to_clause(g, cut) == (-1, -3)
     minimized = minimize_cut(g, cut)
@@ -108,9 +107,9 @@ def test_cut_to_clause_single_frontier():
 
 def test_cut_validity_negative_cases():
     g, _ = pqr_graph()
-    assert not cut_is_valid(g, Cut(frozenset({1})))  # decision on conflict side
-    assert not cut_is_valid(g, Cut(frozenset({2})))  # no conflict literal
-    assert not cut_is_valid(g, Cut(frozenset({99})))  # unknown node
+    assert not cut_is_valid(g, frozenset({1}))  # decision on conflict side
+    assert not cut_is_valid(g, frozenset({2}))  # no conflict literal
+    assert not cut_is_valid(g, frozenset({99}))  # unknown node
 
 
 def two_layer_conflict():
@@ -125,9 +124,9 @@ def two_layer_conflict():
 
 def test_two_layer_graph():
     g, _ = two_layer_conflict()
-    assert g.conflict_var == 4
-    assert g.decisions == {-1}
-    interior = {n for n in g.nodes if n not in g.decisions and abs(n) not in (4,)}
+    assert abs(g.conflict_literals[1]) == 4
+    assert {n for n in g.nodes if g.antecedents[n] is None} == {-1}
+    interior = {n for n in g.nodes if g.antecedents[n] is not None and abs(n) not in (4,)}
     assert {2, -3} <= interior  # level-0 target nodes are also present
     assert {-5, -6} <= set(g.nodes)
 
@@ -161,7 +160,7 @@ def test_level_zero_conflict_graph_has_no_decisions():
     r = solve(f, SolverConfig(learning="first_uip", graph_sink=sink.append))
     assert r.is_unsat
     g = sink[0]
-    assert not g.decisions
+    assert all(g.antecedents[n] is not None for n in g.nodes)
     assert r.records[-1].clause == ()
 
 
@@ -177,9 +176,9 @@ def test_clash_graph():
             return self._rsn[v]
 
     g = build_conflict_graph(FakeState(), clash_decision=-2)
-    assert g.conflict_var == 2
-    assert -2 in g.decisions
-    assert g.preds[2] == (1,)
+    assert abs(g.conflict_literals[1]) == 2
+    assert g.antecedents[-2] is None
+    assert g.preds(2) == (1,)
 
 
 def test_first_new_cut_trace_conflict():
@@ -199,7 +198,7 @@ def test_first_new_cut_trace_conflict():
     known = {(1, 2, 4), (3, -4)}
     cut, redundant = scheme_first_new_cut(g, known)
     assert not redundant
-    assert cut.conflict_side == frozenset({4, -4})
+    assert cut == frozenset({4, -4})
     assert cut_to_clause(g, cut) == (1, 2, 3)
 
 
@@ -223,23 +222,23 @@ def test_first_new_cut_redundant_fallback():
 
 
 def enumerate_valid_cuts(g):
-    movable = [n for n in g.nodes if n not in g.decisions]
+    movable = [n for n in g.nodes if g.antecedents[n] is not None]
     for r in range(len(movable) + 1):
         for side in itertools.combinations(movable, r):
-            cut = Cut(frozenset(side))
+            cut = frozenset(side)
             if cut_is_valid(g, cut):
                 yield cut
 
 
 def _is_uip(g, node):
     lvl = g.conflict_level
-    decision = next(n for n in g.decisions if g.level[n] == lvl)
+    decision = next(n for n in g.nodes if g.antecedents[n] is None and g.level[n] == lvl)
     if node == decision:
         return True
     # every path decision -> conflict literal must pass through the node
     succ = {n: [] for n in g.nodes}
     for n in g.nodes:
-        for p in g.preds[n]:
+        for p in g.preds(n):
             succ[p].append(n)
     targets = set(g.conflict_literals)
     reached = set()
@@ -262,11 +261,11 @@ def test_scheme_agreement_when_decision_is_only_uip():
         sink = []
         solve(f, SolverConfig(learning="first_uip", graph_sink=sink.append))
         for g in sink:
-            if not g.decisions or any(
+            if all(g.antecedents[n] is not None for n in g.nodes) or any(
                 g.level[n] not in (g.conflict_level,) for n in g.nodes
             ):
                 continue
-            level_nodes = [n for n in g.nodes if n not in g.decisions]
+            level_nodes = [n for n in g.nodes if g.antecedents[n] is not None]
             if any(_is_uip(g, n) for n in level_nodes):
                 continue
             c1 = cut_to_clause(g, scheme_first_uip(g))
@@ -297,31 +296,30 @@ def test_first_uip_clause_is_asserting():
 
 def _validate_graph(g):
     """The conflict-graph invariants: exactly one conflict variable (both
-    polarities present), every non-decision node's predecessors are exactly
-    the falsified literals of a known antecedent containing the node, every
-    antecedent is canonical, nodes reach the sink, and the edge relation is
-    acyclic."""
+    polarities present), every non-decision node's antecedent contains the
+    node and is canonical, every predecessor is a graph node, nodes reach the
+    sink, and the edge relation is acyclic."""
+    conflict_var = abs(g.conflict_literals[1])
     polarities = {}
     for n in g.nodes:
         polarities.setdefault(abs(n), set()).add(n > 0)
     both = [v for v, ps in polarities.items() if len(ps) == 2]
-    assert both == [g.conflict_var]
-    assert set(g.conflict_literals) == {g.conflict_var, -g.conflict_var}
+    assert both == [conflict_var]
+    assert set(g.conflict_literals) == {conflict_var, -conflict_var}
     for n in g.nodes:
-        if n in g.decisions:
-            assert g.preds[n] == () and g.antecedents[n] is None
+        ant = g.antecedents[n]
+        if ant is None:
+            assert g.preds(n) == ()
         else:
-            ant = g.antecedents[n]
-            assert ant is not None and n in ant
+            assert n in ant
             assert ant == canonical_literals(ant)
-            assert set(g.preds[n]) == {-x for x in ant if x != n}
-            for p in g.preds[n]:
-                assert p in g.preds  # predecessors are graph nodes
+            for p in g.preds(n):
+                assert p in g.antecedents  # predecessors are graph nodes
     # edges point forward in assignment order: acyclic, and every node can
     # reach a conflict literal (hence the sink)
     succ = {n: [] for n in g.nodes}
     for n in g.nodes:
-        for p in g.preds[n]:
+        for p in g.preds(n):
             assert g.position[p] < g.position[n]
             succ[p].append(n)
     for n in g.nodes:
@@ -384,8 +382,9 @@ def test_minimized_frontier_has_no_absorbable_node():
             known.add(rec.clause)
             for c in (cut, minimize_cut(g, scheme_first_uip(g))):
                 s = frontier(g, c)
-                for v in s - g.decisions:
-                    assert not all(p in s for p in g.preds[v]), v
+                for v in s:
+                    if g.antecedents[v] is not None:
+                        assert not all(p in s for p in g.preds(v)), v
             checked += 1
     assert checked >= 50
 
@@ -426,13 +425,13 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
                     cut = scheme_first_uip(whole)
                     assert rec.clause == cut_to_clause(whole, cut)
                     assert rec.derivation == extract_trivial_derivation(whole, cut)
-                    assert wcut.conflict_side <= cut.conflict_side
+                    assert wcut <= cut
                     assert wg.conflict_literals == whole.conflict_literals
                     for n in wg.nodes:
                         assert wg.level[n] == whole.level[n]
                         assert wg.position[n] == whole.position[n]
                         assert wg.antecedents[n] == whole.antecedents[n]
-                    clashes += whole.conflict_literals[1] in whole.decisions
+                    clashes += whole.antecedents[whole.conflict_literals[1]] is None
                     checked += 1
     assert checked >= 1000 and clashes >= 1
 
@@ -440,28 +439,25 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
 def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
     """The depth-first whole-graph construction that the trail walk replaced,
     reading the solver's arrays: a stack from the conflict literals over
-    antecedents, with the virtual node's predecessors in trail order."""
+    antecedents."""
     levels, positions = state.levels, state.positions
-    preds, antecedents, level, position = {}, {}, {}, {}
-    decisions = set()
+    antecedents, level, position = {}, {}, {}
     if clash_decision is not None:
         d = clash_decision
         if state.reason_literals(abs(d)) is None:
             raise ValueError("cannot analyze a clash between two decisions")
-        preds[d], antecedents[d], level[d], position[d] = (), None, state.current_level, math.inf
-        decisions.add(d)
+        antecedents[d], level[d], position[d] = None, state.current_level, math.inf
         conflict_literals = (-d, d)
         pending = [-d]
     else:
         lits = sorted(conflicting, key=lambda l: positions[abs(l)])
         lstar = lits[-1]
-        preds[lstar] = tuple(-x for x in lits if x != lstar)
         antecedents[lstar], level[lstar], position[lstar] = (
             conflicting, levels[abs(lstar)], math.inf
         )
         conflict_literals = (-lstar, lstar)
         pending = [-x for x in lits]
-    seen = set(preds)
+    seen = set(antecedents)
     while pending:
         node = pending.pop()
         if node in seen:
@@ -469,20 +465,12 @@ def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
         seen.add(node)
         v = abs(node)
         level[node], position[node] = levels[v], positions[v]
-        reason = state.reason_literals(v)
-        antecedents[node] = reason
-        if reason is None:
-            decisions.add(node)
-            preds[node] = ()
-        else:
-            preds[node] = tuple(-x for x in reason if x != node)
-            pending.extend(p for p in preds[node] if p not in seen)
+        reason = antecedents[node] = state.reason_literals(v)
+        if reason is not None:
+            pending.extend(-x for x in reason if x != node and -x not in seen)
     return ConflictGraph(
         nodes=tuple(sorted(seen, key=position.__getitem__)),
-        preds=preds,
         antecedents=antecedents,
-        decisions=frozenset(decisions),
-        conflict_var=abs(conflict_literals[1]),
         conflict_literals=conflict_literals,
         level=level,
         position=position,
@@ -493,7 +481,7 @@ def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
 def test_whole_graph_matches_depth_first_reference(monkeypatch):
     # every whole graph the engine builds (decision, rel-sat, FirstNewCut, the
     # final record, graph_sink) equals the depth-first reference field by
-    # field; the virtual node's predecessors are compared as a set
+    # field
     build = conflict.build_conflict_graph
     compared = clashes = 0
 
@@ -501,14 +489,8 @@ def test_whole_graph_matches_depth_first_reference(monkeypatch):
         nonlocal compared, clashes
         g = build(state, conflicting, clash_decision=clash_decision)
         ref = _reference_conflict_graph(state, conflicting, clash_decision)
-        virtual = ref.conflict_literals[1]
         for field in fields(ConflictGraph):
-            got, want = getattr(g, field.name), getattr(ref, field.name)
-            if field.name == "preds":
-                assert set(got[virtual]) == set(want[virtual])
-                got = {n: ps for n, ps in got.items() if n != virtual}
-                want = {n: ps for n, ps in want.items() if n != virtual}
-            assert got == want, field.name
+            assert getattr(g, field.name) == getattr(ref, field.name), field.name
         compared += 1
         clashes += clash_decision is not None
         return g
