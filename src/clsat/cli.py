@@ -52,17 +52,22 @@ def _read(path: str) -> str:
 
 def _parse_range(spec: str) -> list[int]:
     """Parse a comma-separated list of integers and "a..b" ranges (inclusive,
-    a <= b). Raises ValueError on a descending range or an empty spec."""
+    a <= b). Raises ValueError, naming the spec, on a part that is not an
+    integer or a range, on a descending range and on an empty spec."""
     out: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = map(int, part.split(".."))
-            if lo > hi:
-                raise ValueError(f"descending range {part!r} in {spec!r}")
-            out.extend(range(lo, hi + 1))
-        elif part:
-            out.append(int(part))
+        if not part:
+            continue
+        first, dots, last = part.partition("..")
+        try:
+            lo = int(first)
+            hi = int(last) if dots else lo
+        except ValueError:
+            raise ValueError(f"bad value {part!r} in range {spec!r}") from None
+        if lo > hi:
+            raise ValueError(f"descending range {part!r} in {spec!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no values in range {spec!r}")
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Protocol
+from typing import AbstractSet, Protocol
 
 from .formula import canonical_literals
 
@@ -215,7 +215,7 @@ def _walk(
     return g, side
 
 
-def frontier(g: ConflictGraph, cut: frozenset[int]) -> set[int]:
+def frontier(g: ConflictGraph, cut: AbstractSet[int]) -> set[int]:
     """Reason-side nodes with an edge into the conflict side (or into the sink)."""
     ants = g.antecedents
     out = set()
@@ -298,15 +298,15 @@ def scheme_relsat(g: ConflictGraph) -> frozenset[int]:
     return frozenset(side)
 
 
-def minimize_cut(g: ConflictGraph, cut: frozenset[int]) -> frozenset[int]:
-    """Shrink a cut's clause: walk the frontier once, in descending trail
-    position, and move each non-decision node whose predecessors all lie in
-    the current frontier to the conflict side.
-
-    One pass is enough: moving a node adds nothing to the frontier, so a node
-    that fails the test once fails it for good. A frontier node with no
-    predecessors at all (a literal implied by a known unit clause) satisfies
-    the condition vacuously and is absorbed.
+def minimize_cut(
+    g: ConflictGraph, cut: AbstractSet[int]
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Shrink a cut's clause: walk its frontier once, in descending trail
+    position, moving each non-decision node whose predecessors all lie in the
+    running frontier to the conflict side. Returns the cut and its clause.
+    Moving a node adds nothing to the frontier, so one pass is enough and the
+    running set ends as the new frontier, whose negation is the clause. A node
+    with no predecessors (implied by a known unit clause) is absorbed.
     """
     side = set(cut)
     s = frontier(g, cut)
@@ -315,7 +315,7 @@ def minimize_cut(g: ConflictGraph, cut: frozenset[int]) -> frozenset[int]:
         if ant is not None and all(x == v or -x in s for x in ant):
             s.remove(v)
             side.add(v)
-    return frozenset(side)
+    return frozenset(side), canonical_literals(-u for u in s)
 
 
 def scheme_first_new_cut(
@@ -337,8 +337,7 @@ def scheme_first_new_cut(
     other = earlier if c == later else later
     side = {c}
     while True:
-        cand = minimize_cut(g, frozenset(side))
-        clause = cut_to_clause(g, cand)
+        cand, clause = minimize_cut(g, side)
         if clause not in known:
             return cand, False
         if other not in side and ants[other] is not None:

@@ -220,6 +220,10 @@ class Solver:
                 raise ValueError("restart markers require learning")
             if not cfg.cl_minus_minus:
                 raise ValueError("restart markers require the assigned-branch mode")
+        for name in ("conflict_budget", "decision_budget"):
+            budget = getattr(cfg, name)
+            if budget is not None and budget < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     # ------------------------------------------------------------------ state
     @property
@@ -517,7 +521,7 @@ class Solver:
         is the trail literal the branch contradicted and is still true, so
         the clause is installed satisfied (docs/DECISIONS.md). A non-asserting
         clause backtracks to one below the conflict level and flips that
-        level's decision (a reason-less branch).
+        level's decision, the first trail literal of the level.
         """
         level = g.level
         lvl = g.conflict_level
@@ -529,7 +533,7 @@ class Solver:
             if self.lit_value(ordered[0]) == 0:
                 self._enqueue(ordered[0], ci)
             return bt
-        flip_of = next(n for n, ant in g.antecedents.items() if ant is None and level[n] == lvl)
+        flip_of = self.trail[self.trail_lim[lvl - 1]]
         self.backjump(lvl - 1)
         self._add_clause(clause, ordered)
         # every decision at the conflict level is unassigned by the backjump

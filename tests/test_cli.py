@@ -343,7 +343,15 @@ def test_cli_error_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [("--layers", "5..3"), ("--layers", ""), ("--layers", "2,4..3"), ("--n", ",")]
+    "option",
+    [
+        ("--layers", "5..3"),
+        ("--layers", ""),
+        ("--layers", "2,4..3"),
+        ("--n", ","),
+        ("--layers", "2.."),
+        ("--layers", "a,3"),
+    ],
 )
 def test_bench_rejects_empty_range(tmp_path, capsys, option):
     family = "grid" if option[0] == "--layers" else "gtn"
@@ -352,6 +360,16 @@ def test_bench_rejects_empty_range(tmp_path, capsys, option):
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(option[1]) in err
+    assert not md.exists()
+
+
+@pytest.mark.parametrize("option", [("--conflict-budget", "-1"), ("--decision-budget", "-5")])
+def test_bench_rejects_negative_budget(tmp_path, capsys, option):
+    md = tmp_path / "t.md"
+    args = ["bench", "--family", "grid", "--layers", "2..3", "--configs", "dpll"]
+    assert run([*args, "--variants", "unsat", *option, "--markdown", str(md)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget must be >= 0" in err
     assert not md.exists()
 
 

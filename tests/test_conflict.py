@@ -76,11 +76,11 @@ def test_pqr_minimize_example():
     cut = frozenset({-3, 2})
     assert frontier(g, cut) == {1, 3}
     assert cut_to_clause(g, cut) == (-1, -3)
-    minimized = minimize_cut(g, cut)
+    minimized, _ = minimize_cut(g, cut)
     assert cut_to_clause(g, minimized) == (-1,)
     # already-minimal cut unchanged
     dec = scheme_decision(g)
-    assert minimize_cut(g, dec) == dec
+    assert minimize_cut(g, dec) == (dec, (-1,))
 
 
 def test_pqr_decision_cut_derivation():
@@ -380,7 +380,11 @@ def test_minimized_frontier_has_no_absorbable_node():
             cut, _ = scheme_first_new_cut(g, known)
             assert cut_to_clause(g, cut) == rec.clause
             known.add(rec.clause)
-            for c in (cut, minimize_cut(g, scheme_first_uip(g))):
+            # a minimized cut is a fixed point, and the clause minimize_cut
+            # returns is the negation of the minimized cut's frontier
+            assert minimize_cut(g, cut) == (cut, rec.clause)
+            for c, clause in ((cut, rec.clause), minimize_cut(g, scheme_first_uip(g))):
+                assert clause == cut_to_clause(g, c)
                 s = frontier(g, c)
                 for v in s:
                     if g.antecedents[v] is not None:

@@ -278,6 +278,10 @@ def test_config_validation():
     seq = BranchingSequence((1, RESTART))
     with pytest.raises(ValueError, match="restart markers"):
         Solver(CnfFormula(1, [(1,)]), SolverConfig(learning="first_uip", sequence=seq))
+    for name in ("conflict_budget", "decision_budget"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            Solver(CnfFormula(1, [(1,)]), SolverConfig(**{name: -1}))
+        assert Solver(CnfFormula(1, [(1,)]), SolverConfig(**{name: 0})).solve().is_sat
 
 
 def test_model_soundness_random():
