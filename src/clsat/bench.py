@@ -16,6 +16,7 @@ from dataclasses import astuple, dataclass
 from .engine import BranchingSequence, SolverConfig, solve
 from .formula import CnfFormula
 from .generators import (
+    RANDPEB_DEFAULTS,
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
@@ -113,9 +114,10 @@ def bench(
 ) -> list[BenchRow]:
     """One row per size, variant and config, in that order, for one family:
     grid layer counts, randpeb node counts (graphs shaped by seed,
-    max_indegree and max_label, default 1, 5 and 6) or gtn orders. Raises
-    ValueError before any solve on an unknown family, variant or config
-    label, and on a graph-shape argument given for another family."""
+    max_indegree and max_label, default RANDPEB_DEFAULTS) or gtn orders.
+    Raises ValueError before any instance is built on an unknown family,
+    variant or config label, on a graph-shape argument given for another
+    family and on a negative budget."""
     for kind, names, known in (
         ("family", [family], FAMILIES),
         ("variant", variants, ("unsat", "sat")),
@@ -127,9 +129,11 @@ def bench(
     for name, value in (("seed", seed), ("max_indegree", max_indegree), ("max_label", max_label)):
         if value is not None and family != "randpeb":
             raise ValueError(f"{name} applies only to family randpeb")
-    seed = 1 if seed is None else seed
-    max_indegree = 5 if max_indegree is None else max_indegree
-    max_label = 6 if max_label is None else max_label
+    # a negative budget raises here, with the solver's own message
+    SolverConfig(conflict_budget=conflict_budget, decision_budget=decision_budget)
+    seed = RANDPEB_DEFAULTS["seed"] if seed is None else seed
+    max_indegree = RANDPEB_DEFAULTS["max_indegree"] if max_indegree is None else max_indegree
+    max_label = RANDPEB_DEFAULTS["max_label"] if max_label is None else max_label
     guided = "cl_sequence" in configs
     rows = []
     for size in sizes:

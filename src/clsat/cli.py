@@ -21,6 +21,7 @@ from .engine import (
 )
 from .formula import CnfFormula, parse_dimacs, write_dimacs
 from .generators import (
+    RANDPEB_DEFAULTS,
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
@@ -244,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Clause-learning SAT solver and proof-complexity benchmark kit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    shape = RANDPEB_DEFAULTS
 
     def gen_common(p):
         p.add_argument("-o", "--output", default="-", help="DIMACS output path (default stdout)")
@@ -262,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-randpeb", help="randomized pebbling formula")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--max-indegree", type=int, default=5)
-    p.add_argument("--max-label", type=int, default=6)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--max-indegree", type=int, default=shape["max_indegree"])
+    p.add_argument("--max-label", type=int, default=shape["max_label"])
+    p.add_argument("--seed", type=int, default=shape["seed"])
     gen_common(p)
     p.set_defaults(fn=cmd_gen_randpeb)
 
@@ -332,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", help='grid layer range, e.g. "2..20" or "5,10" (default 2..8)')
     p.add_argument("--nodes", help="randpeb node counts (default 10,20)")
     p.add_argument("--n", help="gtn order range (default 3..8)")
-    p.add_argument("--seed", type=int, help="randpeb graph seed (default 1)")
-    p.add_argument("--max-indegree", type=int, help="randpeb (default 5)")
-    p.add_argument("--max-label", type=int, help="randpeb (default 6)")
+    p.add_argument("--seed", type=int, help=f"randpeb graph seed (default {shape['seed']})")
+    p.add_argument("--max-indegree", type=int, help=f"randpeb (default {shape['max_indegree']})")
+    p.add_argument("--max-label", type=int, help=f"randpeb (default {shape['max_label']})")
     p.add_argument("--sat-seed", type=int, default=0)
     p.add_argument("--configs", default="dpll,cl_default,cl_sequence")
     p.add_argument("--variants", default="unsat,sat")

@@ -51,12 +51,20 @@ class ConflictGraph:
     graph; `graph_sink` always receives whole graphs.
     """
 
-    nodes: tuple[int, ...]  # node literals, in trail order (virtual node last)
     antecedents: dict[int, tuple[int, ...] | None]  # None exactly for decisions
     conflict_literals: tuple[int, int]  # (earlier, later/virtual), on the conflict variable
-    level: dict[int, int]
+    level: dict[int, int]  # keys: the nodes
     position: dict[int, float]
-    conflict_level: int
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The node literals in trail order, the virtual node last."""
+        return tuple(sorted(self.level, key=self.position.__getitem__))
+
+    @property
+    def conflict_level(self) -> int:
+        """The level of the virtual node, or of the clash's branch."""
+        return self.level[self.conflict_literals[1]]
 
     def preds(self, n: int) -> tuple[int, ...]:
         """The nodes with an edge into n, in the order of its antecedent."""
@@ -76,11 +84,15 @@ class TrivialDerivation:
 
 @dataclass(frozen=True)
 class LearnedClauseRecord:
-    clause: tuple[int, ...]
     derivation: TrivialDerivation
     scheme: str
     backjump_level: int = 0
     redundant: bool = False  # FirstNewCut fell back to an already-known clause
+
+    @property
+    def clause(self) -> tuple[int, ...]:
+        """The learned clause: what its derivation yields."""
+        return self.derivation.result
 
 
 def build_conflict_graph(
@@ -204,15 +216,7 @@ def _walk(
     while lower:
         expand(lower.pop())
 
-    g = ConflictGraph(
-        nodes=tuple(sorted(level, key=position.__getitem__)),
-        antecedents=antecedents,
-        conflict_literals=conflict_literals,
-        level=level,
-        position=position,
-        conflict_level=lvl,
-    )
-    return g, side
+    return ConflictGraph(antecedents, conflict_literals, level, position), side
 
 
 def frontier(g: ConflictGraph, cut: AbstractSet[int]) -> set[int]:
@@ -254,7 +258,7 @@ def scheme_first_uip(g: ConflictGraph) -> frozenset[int]:
     """
     lvl = g.conflict_level
     ants = g.antecedents
-    side = {n for n in g.nodes if g.level[n] == 0 and ants[n] is not None}
+    side = {n for n, ant in ants.items() if ant is not None and g.level[n] == 0}
     seen = set(side)
     heap: list[tuple[float, int]] = []
 
@@ -285,7 +289,7 @@ def scheme_first_uip(g: ConflictGraph) -> frozenset[int]:
 
 def scheme_decision(g: ConflictGraph) -> frozenset[int]:
     """Decision cut: the reason side is exactly the decision literals."""
-    return frozenset(n for n in g.nodes if g.antecedents[n] is not None)
+    return frozenset(n for n, ant in g.antecedents.items() if ant is not None)
 
 
 def scheme_relsat(g: ConflictGraph) -> frozenset[int]:
@@ -293,7 +297,7 @@ def scheme_relsat(g: ConflictGraph) -> frozenset[int]:
     the conflict literals; implied literals of lower levels stay on the
     reason side (and so may appear in the clause)."""
     lvl = g.conflict_level
-    side = {n for n in g.nodes if g.antecedents[n] is not None and g.level[n] == lvl}
+    side = {n for n, ant in g.antecedents.items() if ant is not None and g.level[n] == lvl}
     side.update(cl for cl in g.conflict_literals if g.antecedents[cl] is not None)
     return frozenset(side)
 

@@ -113,6 +113,9 @@ def write_sequence(seq: BranchingSequence) -> str:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings. An unknown scheme, a combination the solver cannot
+    run or a negative budget raises ValueError here, at construction."""
+
     learning: str = "first_uip"
     sequence: BranchingSequence | None = None
     cl_minus_minus: bool = False
@@ -120,6 +123,21 @@ class SolverConfig:
     decision_budget: int | None = None
     log_proof: bool = True
     graph_sink: Callable[[ConflictGraph], None] | None = None
+
+    def __post_init__(self):
+        if self.learning not in LEARNING_SCHEMES:
+            raise ValueError(f"unknown learning scheme {self.learning!r}")
+        if self.cl_minus_minus and self.learning == "none":
+            raise ValueError("branching on assigned literals requires learning")
+        if self.sequence is not None and self.sequence.has_restarts:
+            if self.learning == "none":
+                raise ValueError("restart markers require learning")
+            if not self.cl_minus_minus:
+                raise ValueError("restart markers require the assigned-branch mode")
+        for name in ("conflict_budget", "decision_budget"):
+            budget = getattr(self, name)
+            if budget is not None and budget < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -161,7 +179,6 @@ class SolveResult:
 class Solver:
     def __init__(self, formula: CnfFormula, config: SolverConfig | None = None):
         cfg = config or SolverConfig()
-        self._validate_config(cfg)
         self.cfg = cfg
         self.formula = formula
         n = formula.num_vars
@@ -188,7 +205,7 @@ class Solver:
         self._low_free = 1
         # lazy fallback heap, built at the first pick after a bump
         self._heap: list[tuple[float, int, int]] | None = None
-        self._dpll_levels: list[tuple[int, bool]] = []  # (decision lit, flipped)
+        self._dpll_levels: list[bool] = []  # entry k: level k + 1's branch is flipped
         self._seq = tuple(cfg.sequence.entries) if cfg.sequence else ()
         for k, e in enumerate(self._seq, start=1):
             if e is not RESTART and abs(e) > n:
@@ -208,22 +225,6 @@ class Solver:
                 self._enqueue(lits[0], ci)
             elif val < 0 and self._input_conflict is None:
                 self._input_conflict = ci
-
-    @staticmethod
-    def _validate_config(cfg: SolverConfig) -> None:
-        if cfg.learning not in LEARNING_SCHEMES:
-            raise ValueError(f"unknown learning scheme {cfg.learning!r}")
-        if cfg.cl_minus_minus and cfg.learning == "none":
-            raise ValueError("branching on assigned literals requires learning")
-        if cfg.sequence is not None and cfg.sequence.has_restarts:
-            if cfg.learning == "none":
-                raise ValueError("restart markers require learning")
-            if not cfg.cl_minus_minus:
-                raise ValueError("restart markers require the assigned-branch mode")
-        for name in ("conflict_budget", "decision_budget"):
-            budget = getattr(cfg, name)
-            if budget is not None and budget < 0:
-                raise ValueError(f"{name} must be >= 0")
 
     # ------------------------------------------------------------------ state
     @property
@@ -501,13 +502,7 @@ class Solver:
             self.known.add(clause)
         if self.cfg.log_proof:
             self.records.append(
-                LearnedClauseRecord(
-                    clause=clause,
-                    derivation=derivation,
-                    scheme=scheme,
-                    backjump_level=backjump_level,
-                    redundant=redundant,
-                )
+                LearnedClauseRecord(derivation, scheme, backjump_level, redundant)
             )
         self.stats.learned_clauses += 1
 
@@ -553,9 +548,7 @@ class Solver:
             derivation = _ca.extract_trivial_derivation(g, _ca.scheme_decision(g))
         else:
             derivation = TrivialDerivation(base=(), steps=(), result=())
-        self.records.append(
-            LearnedClauseRecord(clause=derivation.result, derivation=derivation, scheme="final")
-        )
+        self.records.append(LearnedClauseRecord(derivation, scheme="final"))
 
     # ---------------------------------------------------------------- dpll
     def _chrono_backtrack(self) -> bool:
@@ -564,14 +557,14 @@ class Solver:
         included."""
         dpll_levels = self._dpll_levels
         k = len(dpll_levels) - 1  # entry k is the branch of level k + 1
-        while k >= 0 and dpll_levels[k][1]:
+        while k >= 0 and dpll_levels[k]:
             k -= 1
         if k < 0:
             return False
-        lit = dpll_levels[k][0]
+        lit = self.trail[self.trail_lim[k]]  # the level's branch opens it
         self.backjump(k)
         self._decide(-lit)
-        dpll_levels.append((-lit, True))
+        dpll_levels.append(True)
         return True
 
     # ---------------------------------------------------------------- solve
@@ -611,7 +604,7 @@ class Solver:
                         break
                     self._decide(lit)
                     if not learning:
-                        self._dpll_levels.append((lit, False))
+                        self._dpll_levels.append(False)
                 confl = self.propagate()
             # a conflict: a falsified clause, or a CL-- branch that
             # contradicts an implied trail literal

@@ -96,6 +96,11 @@ def gen_grid(layers: int) -> PebblingGraph:
     return PebblingGraph(nodes, total)
 
 
+# the shape `clsat gen-randpeb` and `clsat bench --family randpeb` give a
+# random pebbling graph when none is given
+RANDPEB_DEFAULTS = {"seed": 1, "max_indegree": 5, "max_label": 6}
+
+
 def gen_random_pebbling(
     nodes: int, max_indegree: int, max_label: int, seed: int
 ) -> PebblingGraph:

@@ -237,8 +237,6 @@ def cl_to_res(
     index: dict[tuple[int, ...], int] = {}
     known = formula.clause_set()
     for rec in records:
-        if rec.derivation.result != rec.clause:
-            raise ValueError("record derivation does not yield the learned clause")
         _lift(rec.derivation, steps, index, known)
         known.add(rec.clause)
     # the last record's chain ends in (), so _lift has indexed it
@@ -317,6 +315,11 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     clause by any strict subclause obtainable by resolving two earlier steps.
     Then prune steps unused by the empty clause.
 
+    The proof must be valid. Each step then maps to a subclause of itself,
+    so every recomputed resolvent exists (docs/DECISIONS.md, "Normalization
+    needs no repair"); on an invalid proof the recomputation may raise
+    ValueError.
+
     One pass is a fixpoint: each step it emits was checked against exactly
     the steps emitted before it, so a second pass would emit every step
     unchanged (docs/DECISIONS.md).
@@ -378,14 +381,7 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
         if not has_r:
             alias[idx] = r
             continue
-        try:
-            res = resolve_on(lc, rc, piv)
-        except ValueError:
-            # shrinkage made the step tautological/degenerate: keep the
-            # smaller antecedent
-            alias[idx] = l if len(lc) <= len(rc) else r
-            continue
-        emit(ResolutionStep(res, l, r, piv), idx)
+        emit(ResolutionStep(resolve_on(lc, rc, piv), l, r, piv), idx)
 
     root = next((i for i, st in enumerate(out) if st.clause == ()), None)
     if root is None:
@@ -557,10 +553,20 @@ def _replay_support(
 
 @dataclass(frozen=True)
 class ReplayReport:
+    """A replay's solve and the support it was built to learn; what it
+    learned and the restarts it used are read from the solve."""
+
     result: SolveResult
     support: tuple[tuple[int, ...], ...]
-    learned: tuple[tuple[int, ...], ...]
-    restarts_used: int
+
+    @property
+    def learned(self) -> tuple[tuple[int, ...], ...]:
+        """The clauses of the non-final records, in learning order."""
+        return tuple(r.clause for r in self.result.records or () if r.scheme != "final")
+
+    @property
+    def restarts_used(self) -> int:
+        return self.result.stats.restarts
 
     @property
     def learned_support_in_order(self) -> bool:
@@ -588,21 +594,14 @@ def replay_extended_sequence(
         conflict_budget=conflict_budget,
     )
     result = solve(formula, cfg)
-    records = result.records or ()
     known = formula.clause_set()
-    for r in records:
+    for r in result.records or ():
         if r.scheme != "final" and r.clause in known:
             raise RuntimeError(
                 "learning collided with an already-known clause during replay"
             )
         known.add(r.clause)
-    learned = tuple(r.clause for r in records if r.scheme != "final")
-    return ReplayReport(
-        result=result,
-        support=tuple(support),
-        learned=learned,
-        restarts_used=result.stats.restarts,
-    )
+    return ReplayReport(result=result, support=tuple(support))
 
 
 # ------------------------------------------------------------------ RUP oracle

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from clsat import (
+    CnfFormula,
     gen_random_pebbling,
     make_satisfiable,
     parse_dimacs,
@@ -133,6 +134,19 @@ def test_verify_proof_invalid(tmp_path, capsys):
     bad.write_text("i 1 0\ni -1 0\nr 1 2 1 1 0\n")
     assert run(["verify-proof", str(cnf), str(bad)]) == 1
     assert "invalid at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pt-extend", "res-replay"])
+def test_proof_commands_reject_invalid_refutation(tmp_path, capsys, command):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    bad = tmp_path / "bad.res"
+    bad.write_text("i 1 0\ni -1 0\nr 1 2 1 1 0\n")  # the resolvent is (), not (1)
+    out = tmp_path / "pt.cnf"
+    args = [command, str(cnf), str(bad)] + (["-o", str(out)] if command == "pt-extend" else [])
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: invalid refutation at step 2: wrong resolvent\n"
+    assert not out.exists()
 
 
 def test_pt_extend_and_replay(tmp_path, capsys):
@@ -432,6 +446,36 @@ def test_library_bench_rejects_unknown_names_before_solving(
     with pytest.raises(ValueError, match=message):
         clsat.bench.bench(family, [3, 4], variants, configs)
     assert solves == []
+
+
+@pytest.mark.parametrize("budget", ["conflict_budget", "decision_budget"])
+@pytest.mark.parametrize("family", ["grid", "randpeb", "gtn"])
+def test_library_bench_rejects_negative_budget_before_generating(monkeypatch, family, budget):
+    import clsat.bench
+
+    generated = []
+    for name in ("gen_grid", "gen_random_pebbling", "gen_gtn"):
+        real = getattr(clsat.bench, name)
+        monkeypatch.setattr(
+            clsat.bench, name, lambda *a, real=real: generated.append(1) or real(*a)
+        )
+    with pytest.raises(ValueError, match=f"^{budget} must be >= 0$"):
+        clsat.bench.bench(family, [3], ["unsat"], ["dpll"], **{budget: -1})
+    assert generated == []
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("foo", "^unknown config label 'foo'$"),
+        ("cl_sequence", "^cl_sequence needs a generated branching sequence$"),
+    ],
+)
+def test_run_case_rejects_bad_config(label, message):
+    import clsat.bench
+
+    with pytest.raises(ValueError, match=message):
+        clsat.bench.run_case("grid", "layers=1", "unsat", label, CnfFormula(1, [(1,)]), None, 9, 9)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from clsat.conflict import (
     cut_is_valid,
     cut_to_clause,
     extract_trivial_derivation,
+    first_uip_cut,
     frontier,
     minimize_cut,
     scheme_decision,
@@ -200,6 +201,34 @@ def test_first_new_cut_trace_conflict():
     assert not redundant
     assert cut == frozenset({4, -4})
     assert cut_to_clause(g, cut) == (1, 2, 3)
+
+
+class _ThreeDecisions:
+    """Decisions -1, -2, -3 at levels 1-3, then 4 implied by (1 2 4)."""
+
+    current_level = 3
+    trail = [-1, -2, -3, 4]
+    levels = [0, 1, 2, 3, 3]
+    positions = [0, 0, 1, 2, 3]
+
+    def reason_literals(self, v):
+        return (1, 2, 4) if v == 4 else None
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, message",
+    [
+        (build_conflict_graph, {}, "^need a nonempty conflicting clause or a clash literal$"),
+        (first_uip_cut, {"conflicting": ()}, "^need a nonempty conflicting clause"),
+        (build_conflict_graph, {"clash_decision": 3}, "^cannot analyze a clash between two decisions$"),
+        # the clause's latest literal, 2, is at level 2, below the current level
+        (build_conflict_graph, {"conflicting": (1, 2)}, "^conflict has no node at the conflict level$"),
+        (first_uip_cut, {"conflicting": (1, 2)}, "^conflict has no node at the conflict level$"),
+    ],
+)
+def test_walk_rejects_bad_input(build, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build(_ThreeDecisions(), **kwargs)
 
 
 def test_first_new_cut_redundant_fallback():
@@ -443,7 +472,8 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
 def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
     """The depth-first whole-graph construction that the trail walk replaced,
     reading the solver's arrays: a stack from the conflict literals over
-    antecedents."""
+    antecedents. Returns the graph, its nodes in trail order and the
+    conflict level."""
     levels, positions = state.levels, state.positions
     antecedents, level, position = {}, {}, {}
     if clash_decision is not None:
@@ -472,14 +502,13 @@ def _reference_conflict_graph(state, conflicting=None, clash_decision=None):
         reason = antecedents[node] = state.reason_literals(v)
         if reason is not None:
             pending.extend(-x for x in reason if x != node and -x not in seen)
-    return ConflictGraph(
-        nodes=tuple(sorted(seen, key=position.__getitem__)),
+    graph = ConflictGraph(
         antecedents=antecedents,
         conflict_literals=conflict_literals,
         level=level,
         position=position,
-        conflict_level=state.current_level,
     )
+    return graph, tuple(sorted(seen, key=position.__getitem__)), state.current_level
 
 
 def test_whole_graph_matches_depth_first_reference(monkeypatch):
@@ -492,9 +521,13 @@ def test_whole_graph_matches_depth_first_reference(monkeypatch):
     def checked_build(state, conflicting=None, clash_decision=None):
         nonlocal compared, clashes
         g = build(state, conflicting, clash_decision=clash_decision)
-        ref = _reference_conflict_graph(state, conflicting, clash_decision)
+        ref, nodes, conflict_level = _reference_conflict_graph(
+            state, conflicting, clash_decision
+        )
         for field in fields(ConflictGraph):
             assert getattr(g, field.name) == getattr(ref, field.name), field.name
+        assert g.nodes == nodes
+        assert g.conflict_level == conflict_level
         compared += 1
         clashes += clash_decision is not None
         return g

@@ -53,6 +53,8 @@ def test_formula_rejects_out_of_range_literal():
         CnfFormula(2, [(1, 3)])
     with pytest.raises(ValueError):
         CnfFormula(2, [(-3,)])
+    with pytest.raises(ValueError, match="^num_vars must be nonnegative$"):
+        CnfFormula(-1, [])
 
 
 def test_parse_dimacs_basic():

@@ -8,6 +8,7 @@ from clsat import (
     gen_grid,
     gen_gtn,
     gen_random_pebbling,
+    gtn_seq,
     gtn_successor_indices,
     gtn_var,
     make_satisfiable,
@@ -106,6 +107,26 @@ def test_pebbling_graph_validation():
         pebbling_to_cnf(
             PebblingGraph((PebNode(1, (1,), ()), PebNode(2, (1,), (1,))), 2)
         )
+    with pytest.raises(ValueError, match="^node ids must be dense and ascending from 1$"):
+        pebbling_to_cnf(PebblingGraph((PebNode(1, (1,), ()), PebNode(3, (2,), (1,))), 3))
+
+
+@pytest.mark.parametrize(
+    "generate, args, message",
+    [
+        (gen_grid, (0,), "^layers must be >= 1$"),
+        (gen_random_pebbling, (0, 5, 6, 1), "^nodes must be >= 1$"),
+        (gen_random_pebbling, (4, 5, 0, 1), "^max_label must be >= 1$"),
+        (gen_random_pebbling, (3, 1, 6, 1), "^max_indegree must be >= 2 for graphs with 3\\+ nodes$"),
+        (gen_gtn, (2,), "^n must be >= 3$"),
+        (gtn_seq, (2,), "^n must be >= 3$"),
+        (make_satisfiable, (CnfFormula(0, []), 0), "^cannot delete from an empty formula$"),
+        (make_satisfiable, (CnfFormula(1, [(1,)]), 0, []), "^empty deletion pool$"),
+    ],
+)
+def test_generator_argument_checks(generate, args, message):
+    with pytest.raises(ValueError, match=message):
+        generate(*args)
 
 
 def test_gtn_counts():
@@ -195,6 +216,7 @@ def test_pebbling_graph_file_roundtrip():
         ("p peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^line 1: node ids must cover 1\.\.N$"),
         ("# g\np peb 2\nn 1 1 |\nn 3 2 | 1\nt 3\n", r"^line 2: node ids must cover 1\.\.N$"),
         ("p peb 1\nn 1 |\nt 1\n", "^line 2: node 1 has an empty label$"),
+        ("p peb 1\nn 1 -3 |\nt 1\n", "^line 2: node 1 label contains non-variable -3$"),
         ("p peb 2\nn 1 1 | 2\nn 2 2 |\nt 1\n", "^line 2: node 1 has non-topological predecessor 2$"),
         ("p peb 2\nn 2 2 | 1\nn 1 2 |\nt 2\n", "^line 2: variable 2 appears in two node labels$"),
         ("p peb 2\nn 1 1 |\nn 2 2 | 1\n\nt 1\n", r"^line 5: graph must have the target as its unique sink, sinks=\[2\]$"),

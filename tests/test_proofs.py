@@ -305,7 +305,6 @@ def test_cl_to_res_gt6_bound():
 def test_cl_to_res_rejects_unknown_clauses():
     f = CnfFormula(2, [(1,), (-1,)])
     rec = LearnedClauseRecord(
-        clause=(),
         derivation=TrivialDerivation(base=(2,), steps=(((-2,), 2),), result=()),
         scheme="final",
     )
@@ -314,19 +313,17 @@ def test_cl_to_res_rejects_unknown_clauses():
 
 
 @pytest.mark.parametrize(
-    "derivation, clause, message",
+    "derivation, message",
     [
-        # the chain's result is not the clause the record claims to learn
-        (TrivialDerivation((1,), (((-1,), 1),), ()), (1,), "does not yield the learned clause"),
         # the base is known, an antecedent is not
-        (TrivialDerivation((1,), (((-1, 2), 1),), (2,)), (2,), r"unknown clause \(-1, 2\)"),
+        (TrivialDerivation((1,), (((-1, 2), 1),), (2,)), r"unknown clause \(-1, 2\)"),
     ],
 )
-def test_cl_to_res_rejects_bad_records(derivation, clause, message):
+def test_cl_to_res_rejects_bad_records(derivation, message):
     f = CnfFormula(2, [(1,), (-1,)])
-    rec = LearnedClauseRecord(clause=clause, derivation=derivation, scheme="first_uip")
+    rec = LearnedClauseRecord(derivation=derivation, scheme="first_uip")
     final = TrivialDerivation(base=(1,), steps=(((-1,), 1),), result=())
-    log = [rec, LearnedClauseRecord(clause=(), derivation=final, scheme="final")]
+    log = [rec, LearnedClauseRecord(derivation=final, scheme="final")]
     with pytest.raises(ValueError, match=message):
         cl_to_res(log, f)
 
@@ -393,8 +390,8 @@ def test_cl_to_res_rejects_chain_not_ending_in_record_clause():
     f = CnfFormula(3, [(1, 2), (-2, 3), (-1,), (-3,)])
     final = TrivialDerivation(base=(1,), steps=(((-1,), 1),), result=())
     records = [
-        LearnedClauseRecord(clause=(1,), derivation=MISCLAIMED, scheme="first_uip"),
-        LearnedClauseRecord(clause=(), derivation=final, scheme="final"),
+        LearnedClauseRecord(derivation=MISCLAIMED, scheme="first_uip"),
+        LearnedClauseRecord(derivation=final, scheme="final"),
     ]
     with pytest.raises(ValueError, match=r"yields \(1, 3\) but claims \(1,\)"):
         cl_to_res(records, f)
@@ -506,6 +503,52 @@ def test_normalize_dedupes_and_prunes():
     clauses = [s.clause for s in np.steps]
     assert clauses.count((2,)) == 1
     assert np.steps[-1].clause == ()
+
+
+@pytest.mark.parametrize(
+    "clauses, steps, reason, message",
+    [
+        # step 2 claims (2), but (1 2) and (-1 -2) resolve on 1 to a
+        # tautology; every later step is sound given that claim
+        (
+            [(1, 2), (-1, -2), (1, -2), (-1,)],
+            (
+                ResolutionStep((1, 2)),
+                ResolutionStep((-1, -2)),
+                ResolutionStep((2,), 0, 1, 1),
+                ResolutionStep((1, -2)),
+                ResolutionStep((1,), 2, 3, 2),
+                ResolutionStep((-1,)),
+                ResolutionStep((), 4, 5, 1),
+            ),
+            "tautological resolvent",
+            "^tautological clause: contains both -2 and 2$",
+        ),
+        # pivot 2 occurs in neither antecedent, so the step collapses onto (1)
+        (
+            [(1,), (-1,)],
+            (ResolutionStep((1,)), ResolutionStep((-1,)), ResolutionStep((), 0, 1, 2)),
+            "bad pivot",
+            "^normalization lost the empty clause$",
+        ),
+    ],
+)
+def test_normalize_rejects_invalid_proof(clauses, steps, reason, message):
+    proof = ResolutionProof(CnfFormula(2, clauses), steps)
+    chk = check_res_refutation(proof)
+    assert (chk.step, chk.reason) == (2, reason)
+    with pytest.raises(ValueError, match=message):
+        normalize_refutation(proof)
+
+
+def test_proof_transforms_reject_clause_outside_formula():
+    # the proof checks over its own formula, which has (-2); the formula
+    # given does not
+    _, proof = hand_xy_proof()
+    f = CnfFormula(2, [(1,), (-1, 2)])
+    for transform in (proof_trace_extension, res_to_clmm_sequence, replay_extended_sequence):
+        with pytest.raises(ValueError, match="^proof uses an initial clause outside the formula$"):
+            transform(f, proof)
 
 
 def _refutation(f, learning, seq=None, budget=None):

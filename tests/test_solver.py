@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import astuple
 
 import pytest
 
@@ -276,8 +275,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="requires learning"):
         Solver(CnfFormula(1, [(1,)]), SolverConfig(learning="none", cl_minus_minus=True))
     seq = BranchingSequence((1, RESTART))
-    with pytest.raises(ValueError, match="restart markers"):
+    with pytest.raises(ValueError, match="^restart markers require the assigned-branch mode$"):
         Solver(CnfFormula(1, [(1,)]), SolverConfig(learning="first_uip", sequence=seq))
+    with pytest.raises(ValueError, match="^restart markers require learning$"):
+        SolverConfig(learning="none", sequence=seq)
+    with pytest.raises(ValueError, match="^bad sequence entry 0$"):
+        BranchingSequence((0,))
     for name in ("conflict_budget", "decision_budget"):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             Solver(CnfFormula(1, [(1,)]), SolverConfig(**{name: -1}))
@@ -423,12 +426,22 @@ def _record_runs(f, seq):
                 yield solve(f, cfg)
 
 
+# the SolveStats counters the record digests cover, in field order, named so
+# that a counter added later leaves every digest as it is
+DIGESTED_STATS = (
+    "decisions", "propagations", "conflicts", "learned_clauses", "max_level",
+    "fallback_decisions", "restarts",
+)
+
+
 def _record_digest(f, seq):
-    """sha256 prefix over status, stats and every record's clause, derivation,
-    scheme, backjump level and redundancy flag, over _record_runs."""
+    """sha256 prefix over status, the DIGESTED_STATS counters and every
+    record's clause, derivation, scheme, backjump level and redundancy flag,
+    over _record_runs."""
     h = hashlib.sha256()
     for r in _record_runs(f, seq):
-        h.update(repr((r.status, astuple(r.stats))).encode())
+        stats = tuple(getattr(r.stats, name) for name in DIGESTED_STATS)
+        h.update(repr((r.status, stats)).encode())
         for rec in r.records:
             fields = (rec.derivation, rec.scheme, rec.backjump_level, rec.redundant)
             h.update(repr((rec.clause, *fields)).encode())
