@@ -170,15 +170,18 @@ def check_res_refutation(proof: ResolutionProof) -> CheckResult:
 
 
 def check_trivial(proof: ResolutionProof) -> CheckResult:
-    """Check the trivial-derivation shape: every resolvent has two earlier
-    antecedents and a pivot, pivots are distinct variables, and every
-    resolvent resolves the previous resolvent (or, for the first one, an
-    initial step) against an initial step."""
+    """Check the trivial-derivation shape: an initial step has no resolvent
+    fields, every resolvent has two earlier antecedents and a pivot, pivots
+    are distinct variables, and every resolvent resolves the previous
+    resolvent (or, for the first one, an initial step) against an initial
+    step."""
     initial = [st.left is None for st in proof.steps]
     pivots: set[int] = set()
     prev_resolvent: int | None = None
     for i, st in enumerate(proof.steps):
         if initial[i]:
+            if st.right is not None or st.pivot is not None:
+                return CheckResult(False, i, "initial step with resolvent fields")
             continue
         if st.right is None or st.pivot is None:
             return CheckResult(False, i, "resolvent step missing antecedents")
@@ -315,10 +318,11 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     clause by any strict subclause obtainable by resolving two earlier steps.
     Then prune steps unused by the empty clause.
 
-    The proof must be valid. Each step then maps to a subclause of itself,
-    so every recomputed resolvent exists (docs/DECISIONS.md, "Normalization
-    needs no repair"); on an invalid proof the recomputation may raise
-    ValueError.
+    Raises ValueError naming the step and reason that check_res_refutation
+    reports when the proof is not a refutation of its formula. Every step of
+    a valid proof maps to a subclause of itself, so every recomputed
+    resolvent exists and the last step maps to the empty clause
+    (docs/DECISIONS.md, "Normalization checks its input").
 
     One pass is a fixpoint: each step it emits was checked against exactly
     the steps emitted before it, so a second pass would emit every step
@@ -331,6 +335,9 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     The first match in step order is kept, which makes the output
     independent of how candidates are found.
     """
+    chk = check_res_refutation(proof)
+    if not chk:
+        raise ValueError(f"invalid refutation at step {chk.step}: {chk.reason}")
     out: list[ResolutionStep] = []
     alias: dict[int, int] = {}
     by_clause: dict[tuple[int, ...], int] = {}
@@ -383,10 +390,7 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
             continue
         emit(ResolutionStep(resolve_on(lc, rc, piv), l, r, piv), idx)
 
-    root = next((i for i, st in enumerate(out) if st.clause == ()), None)
-    if root is None:
-        raise ValueError("normalization lost the empty clause")
-    return ResolutionProof(proof.over, _prune(out, root))
+    return ResolutionProof(proof.over, _prune(out, by_clause[()]))
 
 
 def _find_subsuming(out, count, clause) -> int | None:
@@ -432,31 +436,21 @@ def _support(proof: ResolutionProof) -> list[tuple[int, ...]]:
     derived steps except the empty clause and, when both antecedents of the
     final step are themselves derived, the later-derived of those two units.
 
-    Expects a normalized refutation whose final step resolves complementary
-    unit clauses; rejects anything else.
+    Expects a normalized refutation. A derived empty clause there resolves
+    two complementary unit clauses; an initial one is the whole proof, and
+    its support is empty.
 
     Proof-trace extension uses this support, chain intermediates included:
     built from _fused_support instead, it needed fallback decisions on a
     third of the refutations checked, every grid from 3 to 11 among them
     (see docs/DECISIONS.md).
     """
-    last = proof.steps[-1]
-    if last.clause != ():
-        raise ValueError("not a refutation")
-    if last.is_initial:
-        raise ValueError("refutation does not end in a unit resolution")
-    lu, ru = last.left, last.right
-    for i in (lu, ru):
-        if len(proof.steps[i].clause) != 1:
-            raise ValueError("final step does not resolve two unit clauses")
-    excluded: set[int] = {len(proof.steps) - 1}
-    if not proof.steps[lu].is_initial and not proof.steps[ru].is_initial:
-        excluded.add(max(lu, ru))
-    return [
-        st.clause
-        for i, st in enumerate(proof.steps)
-        if not st.is_initial and i not in excluded
-    ]
+    steps = proof.steps
+    last = steps[-1]
+    excluded: set[int] = {len(steps) - 1}
+    if not (last.is_initial or steps[last.left].is_initial or steps[last.right].is_initial):
+        excluded.add(max(last.left, last.right))
+    return [st.clause for i, st in enumerate(steps) if not st.is_initial and i not in excluded]
 
 
 def proof_trace_extension(
@@ -469,7 +463,7 @@ def proof_trace_extension(
     (-x | t) for every literal x of C; branching the t's in derivation order
     makes a learner using the new-cut scheme rederive each C in one decision.
     """
-    support = _support(_validated(formula, proof))
+    support = _support(normalize_refutation(ResolutionProof(formula, proof.steps)))
     t0 = formula.num_vars
     clauses: list[Clause] = list(formula.clauses)
     for k, c in enumerate(support, start=1):
@@ -532,23 +526,12 @@ def _replay_sequence(support: Iterable[tuple[int, ...]]) -> BranchingSequence:
     return BranchingSequence(tuple(entries))
 
 
-def _validated(formula: CnfFormula, proof: ResolutionProof) -> ResolutionProof:
-    chk = check_res_refutation(proof)
-    if not chk:
-        raise ValueError(f"invalid refutation at step {chk.step}: {chk.reason}")
-    fset = formula.clause_set()
-    for st in proof.steps:
-        if st.is_initial and st.clause not in fset:
-            raise ValueError("proof uses an initial clause outside the formula")
-    return normalize_refutation(ResolutionProof(formula, proof.steps))
-
-
 def _replay_support(
     formula: CnfFormula, proof: ResolutionProof
 ) -> list[tuple[int, ...]]:
     """The clauses a replay learns, in order: the fused support of the
-    checked and normalized refutation."""
-    return _fused_support(_validated(formula, proof))
+    normalized refutation, checked against `formula`."""
+    return _fused_support(normalize_refutation(ResolutionProof(formula, proof.steps)))
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,34 @@ def test_pt_extend_and_replay(tmp_path, capsys):
     assert "in_order=True" in out
 
 
+def test_proof_commands_accept_the_formulas_own_empty_clause(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n0\n")
+    proof = tmp_path / "f.res"
+    proof.write_text("i 0\n")
+    out = tmp_path / "pt.cnf"
+    assert run(["pt-extend", str(cnf), str(proof), "-o", str(out)]) == 0
+    assert "0 trace variables, 0 trace clauses" in capsys.readouterr().out
+    assert parse_dimacs(out.read_text()) == parse_dimacs(cnf.read_text())
+    assert run(["res-replay", str(cnf), str(proof)]) == 20
+    assert "c replay: support=0 learned=0" in capsys.readouterr().out
+
+
+def test_res_replay_reports_learning_collision(tmp_path, capsys):
+    # replaying the guided first-UIP refutation of this graph learns a
+    # clause that is already known when its conflict is reached
+    cnf, graph, seq, proof = (tmp_path / n for n in ("r.cnf", "r.peb", "r.seq", "r.res"))
+    gen = ["--nodes", "10", "--max-indegree", "3", "--max-label", "3", "--seed", "2"]
+    run(["gen-randpeb", *gen, "-o", str(cnf), "--graph", str(graph)])
+    run(["gen-seq", "--graph", str(graph), "-o", str(seq)])
+    assert run(["solve", str(cnf), "--sequence", str(seq), "--proof", str(proof)]) == 20
+    capsys.readouterr()
+    assert run(["res-replay", str(cnf), str(proof)]) == 1
+    assert capsys.readouterr().err == (
+        "error: learning collided with an already-known clause during replay\n"
+    )
+
+
 def test_solve_dump_graphs(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 3\n-1 2 0\n-1 3 0\n-2 -3 0\n")

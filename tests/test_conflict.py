@@ -458,6 +458,11 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
                     cut = scheme_first_uip(whole)
                     assert rec.clause == cut_to_clause(whole, cut)
                     assert rec.derivation == extract_trivial_derivation(whole, cut)
+                    # first-UIP clauses are asserting: the backjump goes to
+                    # the highest level below the UIP literal's, or to 0
+                    top, *rest = sorted((whole.level[-x] for x in rec.clause), reverse=True)
+                    assert all(lvl < top for lvl in rest)
+                    assert rec.backjump_level == max(rest, default=0)
                     assert wcut <= cut
                     assert wg.conflict_literals == whole.conflict_literals
                     for n in wg.nodes:

@@ -174,7 +174,8 @@ def test_check_trivial_examples():
 def test_check_trivial_rejects_bad_antecedent_indices():
     # a resolvent without a right antecedent used to raise TypeError, and a
     # negative index wrapped around to an earlier step and could pass (left=-3
-    # over three steps reads step 0)
+    # over three steps reads step 0); an initial step carrying resolvent
+    # fields used to pass check_trivial
     f = CnfFormula(3, [(1, 3), (2, -3)])
     init = (ResolutionStep((1, 3)), ResolutionStep((2, -3)))
     cases = [
@@ -186,6 +187,8 @@ def test_check_trivial_rejects_bad_antecedent_indices():
         (ResolutionStep((1, 2), 5, 1, 3), "antecedent does not precede the step"),
         (ResolutionStep((1, 2), 0, 1, 0), "bad pivot"),
         (ResolutionStep((1, 2), 0, 1, -3), "bad pivot"),
+        (ResolutionStep((1, 2), None, 0, None), "initial step with resolvent fields"),
+        (ResolutionStep((1, 2), None, None, 1), "initial step with resolvent fields"),
     ]
     for step, reason in cases:
         proof = ResolutionProof(f, (*init, step))
@@ -436,6 +439,11 @@ def test_pt_extension_empty_support():
     extended, seq = proof_trace_extension(f, unit_refutation())
     assert extended == f
     assert seq.entries == ()
+    # a refutation by the formula's own empty clause derives nothing
+    f = CnfFormula(1, [(1,), ()])
+    extended, seq = proof_trace_extension(f, ResolutionProof(f, (ResolutionStep(()),)))
+    assert extended == f
+    assert seq.entries == ()
 
 
 def test_pt_extension_rejects_non_unit_final():
@@ -454,11 +462,10 @@ def test_pt_extension_rejects_non_unit_final():
     # this one is fine (ends resolving two units); now break it
     ok_ext, ok_seq = proof_trace_extension(f, proof)
     assert ok_ext.num_vars >= f.num_vars
-    bad = ResolutionProof(
-        CnfFormula(1, [()]), (ResolutionStep(()),)
-    )
-    with pytest.raises(ValueError):
-        proof_trace_extension(CnfFormula(1, [()]), bad)
+    # () claimed from two non-unit clauses is a wrong resolvent
+    bad = ResolutionProof(f, (*steps[:2], ResolutionStep((), 0, 1, 2)))
+    with pytest.raises(ValueError, match="^invalid refutation at step 2: wrong resolvent$"):
+        proof_trace_extension(f, bad)
 
 
 def test_res_to_clmm_sequence_chain_fusion():
@@ -488,6 +495,18 @@ def test_replay_grid3_learns_support_in_order():
     assert seq.restart_count <= proof.size
 
 
+def test_replay_rejects_learning_a_known_clause():
+    # replaying the guided first-UIP refutation of this graph learns a
+    # clause that is already known when its conflict is reached
+    g = gen_random_pebbling(10, 3, 3, 2)
+    f = pebbling_to_cnf(g)
+    proof = _refutation(f, "first_uip", peb_seq_1uip(g))
+    with pytest.raises(
+        RuntimeError, match="^learning collided with an already-known clause during replay$"
+    ):
+        replay_extended_sequence(f, proof)
+
+
 def test_normalize_dedupes_and_prunes():
     f = CnfFormula(2, [(1,), (-1, 2), (-2,)])
     steps = (
@@ -505,8 +524,22 @@ def test_normalize_dedupes_and_prunes():
     assert np.steps[-1].clause == ()
 
 
+# pivot 3 occurs in neither antecedent of step 2; aliasing that step to its
+# left antecedent (1) would turn the proof into a valid refutation
+UNUSED_PIVOT = (
+    [(1,), (2,), (-1,)],
+    (
+        ResolutionStep((1,)),
+        ResolutionStep((2,)),
+        ResolutionStep((), 0, 1, 3),
+        ResolutionStep((-1,)),
+        ResolutionStep((), 2, 3, 1),
+    ),
+)
+
+
 @pytest.mark.parametrize(
-    "clauses, steps, reason, message",
+    "clauses, steps, reason",
     [
         # step 2 claims (2), but (1 2) and (-1 -2) resolve on 1 to a
         # tautology; every later step is sound given that claim
@@ -522,22 +555,21 @@ def test_normalize_dedupes_and_prunes():
                 ResolutionStep((), 4, 5, 1),
             ),
             "tautological resolvent",
-            "^tautological clause: contains both -2 and 2$",
         ),
-        # pivot 2 occurs in neither antecedent, so the step collapses onto (1)
+        # pivot 2 occurs in neither antecedent
         (
             [(1,), (-1,)],
             (ResolutionStep((1,)), ResolutionStep((-1,)), ResolutionStep((), 0, 1, 2)),
             "bad pivot",
-            "^normalization lost the empty clause$",
         ),
+        (*UNUSED_PIVOT, "bad pivot"),
     ],
 )
-def test_normalize_rejects_invalid_proof(clauses, steps, reason, message):
+def test_normalize_rejects_invalid_proof(clauses, steps, reason):
     proof = ResolutionProof(CnfFormula(2, clauses), steps)
     chk = check_res_refutation(proof)
     assert (chk.step, chk.reason) == (2, reason)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^invalid refutation at step 2: {reason}$"):
         normalize_refutation(proof)
 
 
@@ -547,8 +579,40 @@ def test_proof_transforms_reject_clause_outside_formula():
     _, proof = hand_xy_proof()
     f = CnfFormula(2, [(1,), (-1, 2)])
     for transform in (proof_trace_extension, res_to_clmm_sequence, replay_extended_sequence):
-        with pytest.raises(ValueError, match="^proof uses an initial clause outside the formula$"):
+        with pytest.raises(
+            ValueError, match="^invalid refutation at step 3: initial clause not in the formula$"
+        ):
             transform(f, proof)
+
+
+def test_proof_transforms_raise_exactly_when_the_checker_rejects():
+    f, xy = hand_xy_proof()
+    wrong = ResolutionStep((1, 2), 0, 1, 1)  # (1) and (-1 2) resolve to (2)
+    cases = [
+        (f, xy.steps),
+        (CnfFormula(1, [(1,), ()]), (ResolutionStep(()),)),
+        (CnfFormula(2, UNUSED_PIVOT[0]), UNUSED_PIVOT[1]),
+        (f, (*xy.steps[:2], wrong, *xy.steps[3:])),
+        (CnfFormula(2, [(1,), (-1, 2)]), xy.steps),  # (-2) is outside the formula
+    ]
+    rejected = 0
+    for formula, steps in cases:
+        proof = ResolutionProof(formula, steps)
+        chk = check_res_refutation(proof)
+        rejected += not chk
+        calls = (
+            lambda: normalize_refutation(proof),
+            lambda: proof_trace_extension(formula, proof),
+            lambda: res_to_clmm_sequence(formula, proof),
+        )
+        for call in calls:
+            if chk:
+                call()
+                continue
+            message = f"^invalid refutation at step {chk.step}: {chk.reason}$"
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert rejected == 3
 
 
 def _refutation(f, learning, seq=None, budget=None):
