@@ -140,17 +140,26 @@ class CnfFormula:
         return {c.literals for c in self.clauses}
 
 
-def clause_satisfied(clause: Clause | Iterable[int], model: Mapping[int, bool]) -> bool:
-    for l in clause:
-        val = model.get(abs(l))
-        if val is not None and val == (l > 0):
-            return True
-    return False
-
-
 def satisfies(formula: CnfFormula, model: Mapping[int, bool]) -> bool:
-    """True iff the (possibly partial) model satisfies every clause."""
-    return all(clause_satisfied(c, model) for c in formula.clauses)
+    """True iff the (possibly partial) model satisfies every clause.
+
+    A literal l is true iff model.get(abs(l)) == (l > 0): a variable absent
+    from the model, or mapped to anything equal to neither True nor False,
+    makes neither of its literals true, and 1 and 0 count as True and False.
+    Only positive keys are variables. The true literals are collected once,
+    and a clause is satisfied iff it meets them (docs/DECISIONS.md, "Models
+    are checked by set intersection").
+    """
+    true = {
+        v if val == True else -v
+        for v, val in model.items()
+        if v > 0 and (val == True or val == False)
+    }
+    misses = true.isdisjoint
+    for c in formula.clauses:
+        if misses(c.literals):
+            return False
+    return True
 
 
 def restrict_simplify(formula: CnfFormula, rho: Mapping[int, bool]) -> CnfFormula:

@@ -46,8 +46,22 @@ class ResolutionStep:
 
 @dataclass(frozen=True)
 class ResolutionProof:
+    """A proof over a formula. `derivation_to_proof` leaves `over` unset and
+    keeps the clauses it will hold; the first read of `over` builds it, so a
+    check that reads only the steps builds no formula. Equality, hashing and
+    repr read `over` like any caller."""
+
     over: CnfFormula
     steps: tuple[ResolutionStep, ...]
+
+    def __getattr__(self, name: str):
+        # called only when `over` is unset, and for names that do not exist
+        if name != "over" or "_used" not in self.__dict__:
+            raise AttributeError(name)
+        clauses = [Clause._trusted(c) for c in self.__dict__.pop("_used")]
+        over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
+        object.__setattr__(self, "over", over)
+        return over
 
     @property
     def size(self) -> int:
@@ -207,21 +221,24 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
 
 def derivation_to_proof(derivation) -> ResolutionProof:
     """Lift a trivial derivation into a standalone resolution proof whose
-    formula consists of the known clauses the derivation uses, so it can be
-    checked with the generic checkers. The base, the antecedents and the
-    result are lifted in canonical form, the form the formula holds, so
-    every initial step is a clause of the formula. Raises ValueError when a
-    clause is not one or the chain does not yield the derivation's result."""
+    formula consists of the known clauses the derivation uses, in order of
+    first occurrence, so it can be checked with the generic checkers. The
+    base, the antecedents and the result are lifted in canonical form, the
+    form the formula holds, so every initial step is a clause of the
+    formula. Raises ValueError when a clause is not one or the chain does
+    not yield the derivation's result. The formula is built when `over` is
+    first read (`ResolutionProof`); `check_trivial` never reads it."""
     # canonical_literals validates as Clause() does, without its frame, and
     # returns a canonical tuple as it is
     base = canonical_literals(derivation.base)
     links = tuple((canonical_literals(ant), pivot) for ant, pivot in derivation.steps)
     known = dict.fromkeys([base, *(ant for ant, _ in links)])  # first occurrences, in order
-    clauses = [Clause._trusted(c) for c in known]
-    over = CnfFormula(max((c.max_var() for c in clauses), default=0), clauses)
     steps: list[ResolutionStep] = []
     _lift(TrivialDerivation(base, links, canonical_literals(derivation.result)), steps, {}, known)
-    return ResolutionProof(over, tuple(steps))
+    proof = object.__new__(ResolutionProof)
+    object.__setattr__(proof, "steps", tuple(steps))
+    object.__setattr__(proof, "_used", known)
+    return proof
 
 
 def cl_to_res(
@@ -615,20 +632,26 @@ class UnitPropagationChecker:
         assert self.qhead == len(self.trail), "add_clause during assumptions"
         values = self.values
         # watch two non-false literals so the invariant holds under the
-        # current base assignment: a stable sort puts true literals first,
-        # then unassigned, then false, in clause order within each
-        cl = sorted(lits, key=lambda l: values[l] if l > 0 else -values[-l], reverse=True)
+        # current base assignment: one scan moves the first two to the front.
+        # Which two does not matter (docs/DECISIONS.md, "The RUP oracle
+        # watches any two non-false literals").
+        cl = list(lits)
+        found = 0
+        for k, l in enumerate(cl):
+            if (values[l] if l > 0 else -values[-l]) != -1:
+                cl[found], cl[k] = l, cl[found]
+                found += 1
+                if found == 2:
+                    break
         ci = len(self.clauses)
         self.clauses.append(cl)
-        # a unit clause's one watch is never visited: from here on its
-        # literal is true at the base, or the base conflicts
+        # a unit clause's false watch is never visited: from here on its
+        # other literal is true at the base, or the base conflicts
         for w in cl[:2]:
             self.watches[2 * w if w > 0 else -2 * w + 1].append(ci)
-        # the value of the first two literals, a missing literal counting as false
-        v0, v1, *_ = [values[l] if l > 0 else -values[-l] for l in cl[:2]] + [-1, -1]
-        if v0 == -1:
+        if found == 0:
             self.base_conflict = True
-        elif v0 == 0 and v1 == -1:  # unit under the base assignment
+        elif found == 1 and values[abs(cl[0])] == 0:  # unit under the base assignment
             lit = cl[0]
             values[abs(lit)] = 1 if lit > 0 else -1
             self.trail.append(lit)

@@ -231,6 +231,55 @@ def test_walk_rejects_bad_input(build, kwargs, message):
         build(_ThreeDecisions(), **kwargs)
 
 
+# hand-built graphs: antecedents, conflict literals, levels, positions.
+# Decision 1 implies 2 by (-1 2); (-1 -2) is falsified, -2 is the virtual node
+_DECIDED = ConflictGraph(
+    {1: None, 2: (-1, 2), -2: (-1, -2)},
+    (2, -2),
+    {1: 1, 2: 1, -2: 1},
+    {1: 0, 2: 1, -2: math.inf},
+)
+
+
+@pytest.mark.parametrize(
+    "analyze, graph, message",
+    [
+        # both conflict literals are implied at level 0, so they start on the
+        # conflict side and nothing is left at the conflict level
+        (
+            scheme_first_uip,
+            ConflictGraph({1: (1,), -1: (-1,)}, (1, -1), {1: 0, -1: 0}, {1: 0, -1: math.inf}),
+            "^conflict has no node at the conflict level$",
+        ),
+        (lambda g: extract_trivial_derivation(g, frozenset()), _DECIDED, "^conflict side is empty$"),
+        (
+            lambda g: extract_trivial_derivation(g, frozenset({2})),
+            ConflictGraph(
+                {1: None, 2: (-1, 2), -3: (-2, -3), 3: (-1, 3)},
+                (-3, 3),
+                {1: 1, 2: 1, -3: 1, 3: 1},
+                {1: 0, 2: 5, -3: 1, 3: math.inf},
+            ),
+            "^latest conflict-side node is not a conflict literal$",
+        ),
+        # a clash: the branched literal is a reason-less conflict literal
+        (
+            lambda g: extract_trivial_derivation(g, frozenset({-1})),
+            ConflictGraph({1: (1,), -1: None}, (1, -1), {1: 0, -1: 1}, {1: 0, -1: math.inf}),
+            "^conflict-side node has no antecedent$",
+        ),
+        (
+            lambda g: extract_trivial_derivation(g, frozenset({1, 2, -2})),
+            _DECIDED,
+            "^decision literal on the conflict side$",
+        ),
+    ],
+)
+def test_analysis_rejects_bad_graphs(analyze, graph, message):
+    with pytest.raises(ValueError, match=message):
+        analyze(graph)
+
+
 def test_first_new_cut_redundant_fallback():
     # single decision implying the conflict; every cut clause already known
     f = CnfFormula(2, [(-1, 2), (-1, -2)])

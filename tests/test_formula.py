@@ -173,9 +173,26 @@ def test_restrict_composition_and_subclause_property():
 
 
 def test_satisfies():
-    f = CnfFormula(3, [(1, 2), (-3,)])
-    assert satisfies(f, {1: True, 2: False, 3: False})
-    assert not satisfies(f, {1: False, 2: False, 3: False})
+    rows = [
+        ([(1, 2), (-3,)], {1: True, 2: False, 3: False}, True),
+        ([(1, 2), (-3,)], {1: False, 2: False, 3: False}, False),
+        # partial models: an absent variable makes neither literal true
+        ([(1, 2), (-3,)], {2: True, 3: False}, True),
+        ([(1, 2), (-3,)], {1: True}, False),
+        ([(1, 2), (-3,)], {}, False),
+        ([], {}, True),
+        # the empty clause holds no literal a model can make true
+        ([(1,), ()], {1: True}, False),
+        # 1 and 0 compare equal to True and False
+        ([(1, 2), (-3,)], {1: 1, 2: 0, 3: 0}, True),
+        ([(1, 2), (-3,)], {1: 0, 2: 0, 3: 0}, False),
+        ([(-1, 2), (3,)], {1: 0, 3: 1}, True),
+        # variables the formula does not use change nothing
+        ([(1, 2), (-3,)], {1: True, 3: False, 4: False, 9: True}, True),
+        ([(1, 2), (-3,)], {1: False, 2: False, 3: False, 7: True}, False),
+    ]
+    for clauses, model, expected in rows:
+        assert satisfies(CnfFormula(3, clauses), model) is expected, (clauses, model)
 
 
 def _product_satisfiable(formula: CnfFormula) -> bool:

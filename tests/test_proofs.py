@@ -12,6 +12,7 @@ from clsat import (
     ResolutionStep,
     SolverConfig,
     UnitPropagationChecker,
+    canonical_literals,
     check_res_refutation,
     check_trivial,
     cl_to_res,
@@ -363,6 +364,57 @@ def test_derivation_to_proof_validates_its_clauses():
     assert (chk.step, chk.reason) == (None, "proof does not end in the empty clause")
     refutation = TrivialDerivation((2, -1), (((1,), 1), ((-2,), 2)), ())
     assert check_res_refutation(derivation_to_proof(refutation))
+
+
+def _certificate_derivations():
+    hand = [
+        TrivialDerivation(base=(2, 1), steps=(), result=(2, 1)),
+        TrivialDerivation((2, -1), (((1,), 1),), (2,)),
+        TrivialDerivation((2, -1), (((1,), 1), ((-2,), 2)), ()),
+        # an antecedent used twice appears once in the formula
+        TrivialDerivation((1, 2), (((-2, 3), 2), ((-3, 2), 3)), (1, 2)),
+    ]
+    engine = []
+    for seed in range(6):
+        r = solve(random_3cnf(10, 42, seed=900 + seed), SolverConfig(learning="first_uip"))
+        engine.extend(rec.derivation for rec in r.records)
+    assert len(engine) >= 20
+    return hand + engine
+
+
+def test_derivation_certificate_value_semantics():
+    for d in _certificate_derivations():
+        used = [canonical_literals(d.base), *(canonical_literals(ant) for ant, _ in d.steps)]
+        used = list(dict.fromkeys(used))  # first occurrences, in order
+        # each comparison starts from a certificate whose formula was never
+        # read: it is the same value as one built with its formula
+        eager = derivation_to_proof(d)
+        eager = ResolutionProof(eager.over, eager.steps)
+        assert repr(derivation_to_proof(d)) == repr(eager)
+        assert hash(derivation_to_proof(d)) == hash(eager)
+        assert derivation_to_proof(d) == eager
+        assert eager == derivation_to_proof(d)
+        p = derivation_to_proof(d)
+        assert [c.literals for c in p.over.clauses] == used
+        assert p.over.num_vars == max((abs(l) for c in used for l in c), default=0)
+        assert p == ResolutionProof(p.over, p.steps)
+    with pytest.raises(AttributeError):
+        derivation_to_proof(TrivialDerivation((1,), (), (1,))).missing
+
+
+@pytest.mark.parametrize(
+    "derivation, message",
+    [
+        (TrivialDerivation((1,), (((-1, 2, -2), 1),), (2,)), "^tautological clause"),
+        (TrivialDerivation((1, 2), (((0, -2), 2),), (1,)), "^0 is not a literal$"),
+        (TrivialDerivation((1, 2), (((-3, 4), 3),), (1, 2, 4)), "is not a pivot"),
+    ],
+)
+def test_derivation_to_proof_raises_at_the_call(derivation, message):
+    # validation does not wait for the formula: the call itself raises, on
+    # an antecedent as on the base
+    with pytest.raises(ValueError, match=message):
+        derivation_to_proof(derivation)
 
 
 def test_check_trivial_rejects_non_positive_pivot():
