@@ -11,7 +11,7 @@ so output is deterministic apart from the wall-time column.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .engine import BranchingSequence, SolverConfig, solve
 from .formula import CnfFormula
@@ -25,8 +25,6 @@ from .generators import (
     pebbling_to_cnf,
 )
 from .seqgen import gtn_seq, peb_seq_1uip
-
-CSV_HEADER = "family,params,variant,config,outcome,decisions,conflicts,learned,fallback,restarts,time_ms"
 
 DEFAULT_CONFLICT_BUDGET = 10**6
 DEFAULT_DECISION_BUDGET = 10**7
@@ -47,8 +45,11 @@ class BenchRow:
     time_ms: float
 
     def csv(self) -> str:
-        *fields, time_ms = astuple(self)
-        return ",".join(str(x) for x in fields) + f",{time_ms:.1f}"
+        *values, time_ms = astuple(self)
+        return ",".join(str(x) for x in values) + f",{time_ms:.1f}"
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 # learning scheme per config label; cl_sequence also branches on the

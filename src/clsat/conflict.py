@@ -36,7 +36,8 @@ class TrailState(Protocol):
     positions: list[int]
 
     def reason_literals(self, var: int) -> tuple[int, ...] | None:
-        """The canonical clause that implied var, or None for a decision."""
+        """The canonical clause that implied var, or None for a decision;
+        read only while var is assigned, like its level and position."""
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,7 @@ def scheme_first_new_cut(
 
 
 def extract_trivial_derivation(
-    g: ConflictGraph, cut: frozenset[int], clause: tuple[int, ...] | None = None
+    g: ConflictGraph, cut: frozenset[int], clause: tuple[int, ...]
 ) -> TrivialDerivation:
     """Derive the cut's clause by resolving antecedents of conflict-side nodes.
 
@@ -369,9 +370,8 @@ def extract_trivial_derivation(
     conflict-side node's antecedent on that node's variable. Nodes whose
     variable is absent from the running clause are skipped. Pivots are
     distinct and every antecedent is a known clause, so the derivation is
-    trivial; its final clause equals the cut's clause. The result is checked
-    against `clause` when the caller already has `cut_to_clause(g, cut)`,
-    and against a fresh `cut_to_clause` otherwise.
+    trivial; its final clause equals the cut's clause, and it is checked
+    against `clause`, the caller's `cut_to_clause(g, cut)`.
     """
     side = sorted(cut, key=lambda n: g.position[n], reverse=True)
     if not side:
@@ -394,9 +394,8 @@ def extract_trivial_derivation(
         running.update(x for x in ant if x != y)
         steps.append((ant, abs(y)))
     result = canonical_literals(running)
-    expected = cut_to_clause(g, cut) if clause is None else clause
-    if result != expected:
+    if result != clause:
         raise AssertionError(
-            f"derivation yields {result} but the cut's clause is {expected}"
+            f"derivation yields {result} but the cut's clause is {clause}"
         )
     return TrivialDerivation(base=base, steps=tuple(steps), result=result)

@@ -63,13 +63,14 @@ LEARNING_SCHEMES = ("none", "decision", "relsat", "first_uip", "first_new_cut")
 @dataclass(frozen=True)
 class BranchingSequence:
     """Ordered branching entries: literals (possibly repeated) and restart
-    markers. The size of a sequence counts literal entries only."""
+    markers. A literal is a nonzero int (not a bool, which the .seq format
+    cannot write). The size of a sequence counts literal entries only."""
 
     entries: tuple = ()
 
     def __post_init__(self):
         for e in self.entries:
-            if e is not RESTART and (not isinstance(e, int) or e == 0):
+            if e is not RESTART and (type(e) is not int or e == 0):
                 raise ValueError(f"bad sequence entry {e!r}")
 
     def __len__(self) -> int:
@@ -180,7 +181,6 @@ class Solver:
     def __init__(self, formula: CnfFormula, config: SolverConfig | None = None):
         cfg = config or SolverConfig()
         self.cfg = cfg
-        self.formula = formula
         n = formula.num_vars
         self.num_vars = n
         self.values = [0] * (n + 1)  # 0 unassigned, 1 true, -1 false (by variable)
@@ -353,23 +353,21 @@ class Solver:
 
     def backjump(self, level: int) -> None:
         """Unwind the trail to the given decision level (no-op if already
-        there or lower). Learned clauses are untouched. While the fallback
-        heap exists, both literals of every unassigned variable go back in
-        with their current activity."""
+        there or lower), resetting values only (`TrailState.reason_literals`).
+        Learned clauses are untouched. While the fallback heap exists, both
+        literals of every unassigned variable go back in with their activity."""
         trail_lim = self.trail_lim
         if level >= len(trail_lim):
             return
         keep = trail_lim[level]
         trail = self.trail
         values = self.values
-        reasons = self.reasons
         heap = self._heap
         if heap is None:
             low = self._low_free
             for lit in trail[keep:]:
                 v = lit if lit > 0 else -lit
                 values[v] = 0
-                reasons[v] = None
                 if v < low:
                     low = v
             self._low_free = low
@@ -378,7 +376,6 @@ class Solver:
             for lit in trail[keep:]:
                 v = lit if lit > 0 else -lit
                 values[v] = 0
-                reasons[v] = None
                 heappush(heap, (-act[2 * v + 1], v, 0))
                 heappush(heap, (-act[2 * v], v, 1))
         del trail[keep:]
@@ -545,7 +542,7 @@ class Solver:
             if self.cfg.graph_sink is not None:
                 self.cfg.graph_sink(g)
             # no decisions at level zero, so the decision cut's clause is empty
-            derivation = _ca.extract_trivial_derivation(g, _ca.scheme_decision(g))
+            derivation = _ca.extract_trivial_derivation(g, _ca.scheme_decision(g), ())
         else:
             derivation = TrivialDerivation(base=(), steps=(), result=())
         self.records.append(LearnedClauseRecord(derivation, scheme="final"))

@@ -188,7 +188,7 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
     fields, every resolvent has two earlier antecedents and a pivot, pivots
     are distinct variables, and every resolvent resolves the previous
     resolvent (or, for the first one, an initial step) against an initial
-    step."""
+    step, so the resolvents form one chain."""
     initial = [st.left is None for st in proof.steps]
     pivots: set[int] = set()
     prev_resolvent: int | None = None
@@ -215,6 +215,8 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
                 return CheckResult(
                     False, i, "derived antecedent is not the previous resolvent"
                 )
+        if left_init and right_init and prev_resolvent is not None:
+            return CheckResult(False, i, "resolvent starts a second chain")
         prev_resolvent = i
     return CheckResult(True)
 

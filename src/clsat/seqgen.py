@@ -11,12 +11,13 @@ sequence and the solver is expected to fall back to its heuristic after it.
 from __future__ import annotations
 
 from .engine import BranchingSequence
-from .generators import PebblingGraph, gtn_var
+from .generators import PebblingGraph, gtn_var, validate_pebbling_graph
 
 
 def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
     """Branching sequence for any single-target pebbling graph with distinct
-    labels (first-UIP learning, fast backtracking).
+    labels (first-UIP learning, fast backtracking); raises on a graph that
+    `validate_pebbling_graph` rejects.
 
     Predecessors are processed from highest to lowest (heights tied on larger
     node id first, which reproduces the published orderings); the lowest
@@ -25,13 +26,8 @@ def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
     sends the solver back to level zero, so their subsequences must not
     interleave with the rest.
     """
+    validate_pebbling_graph(graph)
     labels = {n.id: n.label for n in graph.nodes}
-    seen_vars: set[int] = set()
-    for lab in labels.values():
-        for v in lab:
-            if v in seen_vars:
-                raise ValueError("pebbling sequence needs distinct node labels")
-            seen_vars.add(v)
     heights = graph.heights()
     # sort every predecessor list once: increasing height, ties larger id first
     preds = {

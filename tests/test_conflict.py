@@ -86,17 +86,16 @@ def test_pqr_minimize_example():
 
 def test_pqr_decision_cut_derivation():
     g, _ = pqr_graph()
-    d = extract_trivial_derivation(g, scheme_decision(g))
+    cut = scheme_decision(g)
+    d = extract_trivial_derivation(g, cut, cut_to_clause(g, cut))
     assert d.base == (-2, -3)
     assert d.steps == (((-1, 3), 3), ((-1, 2), 2))
     assert d.result == (-1,)
     assert check_trivial(derivation_to_proof(d))
-    # a caller that has the cut's clause passes it in; the result is still
-    # checked against it
-    assert extract_trivial_derivation(g, scheme_decision(g), (-1,)) == d
+    # the result is checked against the clause the caller passes in
     mismatch = r"yields \(-1,\) but the cut's clause is \(1,\)"
     with pytest.raises(AssertionError, match=mismatch):
-        extract_trivial_derivation(g, scheme_decision(g), (1,))
+        extract_trivial_derivation(g, cut, (1,))
 
 
 def test_cut_to_clause_single_frontier():
@@ -147,7 +146,7 @@ def test_two_layer_scheme_clauses():
 def test_two_layer_first_uip_derivation():
     g, _ = two_layer_conflict()
     cut = scheme_first_uip(g)
-    d = extract_trivial_derivation(g, cut)
+    d = extract_trivial_derivation(g, cut, cut_to_clause(g, cut))
     assert d.result == (-2,)
     # resolves the conflict variable, the other apex-feeding variable, and the
     # two level-zero target units
@@ -251,9 +250,9 @@ _DECIDED = ConflictGraph(
             ConflictGraph({1: (1,), -1: (-1,)}, (1, -1), {1: 0, -1: 0}, {1: 0, -1: math.inf}),
             "^conflict has no node at the conflict level$",
         ),
-        (lambda g: extract_trivial_derivation(g, frozenset()), _DECIDED, "^conflict side is empty$"),
+        (lambda g: extract_trivial_derivation(g, frozenset(), ()), _DECIDED, "^conflict side is empty$"),
         (
-            lambda g: extract_trivial_derivation(g, frozenset({2})),
+            lambda g: extract_trivial_derivation(g, frozenset({2}), ()),
             ConflictGraph(
                 {1: None, 2: (-1, 2), -3: (-2, -3), 3: (-1, 3)},
                 (-3, 3),
@@ -264,12 +263,12 @@ _DECIDED = ConflictGraph(
         ),
         # a clash: the branched literal is a reason-less conflict literal
         (
-            lambda g: extract_trivial_derivation(g, frozenset({-1})),
+            lambda g: extract_trivial_derivation(g, frozenset({-1}), ()),
             ConflictGraph({1: (1,), -1: None}, (1, -1), {1: 0, -1: 1}, {1: 0, -1: math.inf}),
             "^conflict-side node has no antecedent$",
         ),
         (
-            lambda g: extract_trivial_derivation(g, frozenset({1, 2, -2})),
+            lambda g: extract_trivial_derivation(g, frozenset({1, 2, -2}), ()),
             _DECIDED,
             "^decision literal on the conflict side$",
         ),
@@ -506,7 +505,9 @@ def test_first_uip_walk_matches_whole_graph_oracle(monkeypatch):
                 for (wg, wcut), whole, rec in zip(walks, sink, recs):
                     cut = scheme_first_uip(whole)
                     assert rec.clause == cut_to_clause(whole, cut)
-                    assert rec.derivation == extract_trivial_derivation(whole, cut)
+                    assert rec.derivation == extract_trivial_derivation(
+                        whole, cut, rec.clause
+                    )
                     # first-UIP clauses are asserting: the backjump goes to
                     # the highest level below the UIP literal's, or to 0
                     top, *rest = sorted((whole.level[-x] for x in rec.clause), reverse=True)

@@ -134,7 +134,8 @@ def test_check_trivial_examples():
     chk = check_trivial(dup)
     assert not chk and chk.reason == "duplicate pivot"
 
-    # resolving two derived clauses
+    # resolving two derived clauses of one chain (a shape check: the step's
+    # clause is not read)
     f3 = CnfFormula(4, [(1, 3), (2, -3), (-1, 4), (-2, -4)])
     two_derived = ResolutionProof(
         f3,
@@ -143,13 +144,12 @@ def test_check_trivial_examples():
             ResolutionStep((2, -3)),
             ResolutionStep((1, 2), 0, 1, 3),
             ResolutionStep((-1, 4)),
-            ResolutionStep((-2, -4)),
-            ResolutionStep((-1, -2), 3, 4, 4),
-            ResolutionStep((1, -1), 2, 5, 2) if False else ResolutionStep((2, -2), 2, 5, 1),
+            ResolutionStep((2, 4), 2, 3, 1),
+            ResolutionStep((4,), 2, 4, 2),
         ),
     )
     chk = check_trivial(two_derived)
-    assert not chk and chk.reason == "both antecedents are derived"
+    assert not chk and (chk.step, chk.reason) == (5, "both antecedents are derived")
 
     # a chain that leaves its previous resolvent for an older derived clause
     f4 = CnfFormula(4, [(1, 3), (2, -3), (-1, 4), (-2, -4)])
@@ -170,6 +170,20 @@ def test_check_trivial_examples():
         6,
         "derived antecedent is not the previous resolvent",
     )
+
+    # a later resolvent of two initial steps starts a second chain
+    f5 = CnfFormula(4, [(1, 2), (-1, 3), (2, 4), (-2, 4)])
+    one_chain = (
+        ResolutionStep((1, 2)),
+        ResolutionStep((-1, 3)),
+        ResolutionStep((2, 3), 0, 1, 1),
+        ResolutionStep((2, 4)),
+        ResolutionStep((-2, 4)),
+    )
+    assert check_trivial(ResolutionProof(f5, one_chain))
+    second = ResolutionProof(f5, (*one_chain, ResolutionStep((4,), 3, 4, 2)))
+    chk = check_trivial(second)
+    assert not chk and (chk.step, chk.reason) == (5, "resolvent starts a second chain")
 
 
 def test_check_trivial_rejects_bad_antecedent_indices():

@@ -134,8 +134,29 @@ def test_rejects_repeated_labels():
         ),
         3,
     )
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="appears in two node labels"):
         peb_seq_1uip(broken)
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        # node 2 names a later predecessor: the walk used to raise KeyError
+        (
+            (PebNode(1, (1,), ()), PebNode(2, (2,), (3,)), PebNode(3, (3,), (1,))),
+            "non-topological predecessor 3",
+        ),
+        # nodes 2 and 3 are both sinks: the walk used to return an empty sequence
+        (
+            (PebNode(1, (1,), ()), PebNode(2, (2,), (1,)), PebNode(3, (3,), (1,))),
+            r"unique sink, sinks=\[2, 3\]",
+        ),
+    ],
+    ids=["non-topological", "two sinks"],
+)
+def test_rejects_graphs_the_generators_reject(nodes, message):
+    with pytest.raises(ValueError, match=message):
+        peb_seq_1uip(PebblingGraph(nodes, 3))
 
 
 def test_deep_graph_leaves_recursion_limit_alone():

@@ -281,6 +281,10 @@ def test_config_validation():
         SolverConfig(learning="none", sequence=seq)
     with pytest.raises(ValueError, match="^bad sequence entry 0$"):
         BranchingSequence((0,))
+    # a bool is an int to isinstance, but write_sequence would write "True",
+    # which parse_sequence rejects
+    with pytest.raises(ValueError, match="^bad sequence entry True$"):
+        BranchingSequence((True, -2))
     for name in ("conflict_budget", "decision_budget"):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             Solver(CnfFormula(1, [(1,)]), SolverConfig(**{name: -1}))
