@@ -171,7 +171,7 @@ def cmd_verify_proof(args) -> int:
     if chk:
         print(f"valid refutation: {proof.size} steps ({proof.derived_count()} derived)")
         return 0
-    print(f"invalid at step {chk.step}: {chk.reason}", file=sys.stderr)
+    print(chk.message("invalid"), file=sys.stderr)
     return 1
 
 

@@ -111,6 +111,8 @@ def gen_random_pebbling(
     uniformly from the earlier nodes. Label sizes are uniform in
     [1, max_label], all labels fresh. All sinks of the random part are then
     fed into a pyramid of 2-variable nodes whose apex is the unique target.
+    So the result meets every rule of `validate_pebbling_graph` (fresh labels,
+    predecessors sorted and earlier, one sink) and is returned unchecked.
     """
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
@@ -146,9 +148,7 @@ def gen_random_pebbling(
             out.append(PebNode(nid, fresh(2), (layer[pos], layer[pos + 1])))
             nxt.append(nid)
         layer = nxt
-    g = PebblingGraph(tuple(out), layer[0])
-    validate_pebbling_graph(g)
-    return g
+    return PebblingGraph(tuple(out), layer[0])
 
 
 def pebbling_to_cnf(g: PebblingGraph) -> CnfFormula:
@@ -285,6 +285,8 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
                 if count >= 0:
                     raise ValueError("duplicate header")
                 count = int(parts[2])
+                if count < 0:
+                    raise ValueError("malformed header")
                 header_line = lineno
             elif parts[0] == "n":
                 if "|" not in parts:

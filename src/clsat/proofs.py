@@ -81,6 +81,11 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.valid
 
+    def message(self, prefix: str) -> str:
+        """`prefix`, " at step N" when the failure has a step, and the reason."""
+        where = "" if self.step is None else f" at step {self.step}"
+        return f"{prefix}{where}: {self.reason}"
+
 
 def resolve_on(a: Iterable[int], b: Iterable[int], pivot: int) -> tuple[int, ...]:
     """Resolvent of two clauses on a pivot variable.
@@ -189,28 +194,29 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
     are distinct variables, and every resolvent resolves the previous
     resolvent (or, for the first one, an initial step) against an initial
     step, so the resolvents form one chain."""
-    initial = [st.left is None for st in proof.steps]
+    steps = proof.steps
     pivots: set[int] = set()
     prev_resolvent: int | None = None
-    for i, st in enumerate(proof.steps):
-        if initial[i]:
-            if st.right is not None or st.pivot is not None:
+    for i, st in enumerate(steps):
+        left, right = st.left, st.right
+        if left is None:
+            if right is not None or st.pivot is not None:
                 return CheckResult(False, i, "initial step with resolvent fields")
             continue
-        if st.right is None or st.pivot is None:
+        if right is None or st.pivot is None:
             return CheckResult(False, i, "resolvent step missing antecedents")
-        if not (0 <= st.left < i and 0 <= st.right < i):
+        if not (0 <= left < i and 0 <= right < i):
             return CheckResult(False, i, "antecedent does not precede the step")
         if st.pivot <= 0:
             return CheckResult(False, i, "bad pivot")
         if st.pivot in pivots:
             return CheckResult(False, i, "duplicate pivot")
         pivots.add(st.pivot)
-        left_init = initial[st.left]
-        right_init = initial[st.right]
+        left_init = steps[left].left is None
+        right_init = steps[right].left is None
         if not (left_init or right_init):
             return CheckResult(False, i, "both antecedents are derived")
-        for side, is_init in ((st.left, left_init), (st.right, right_init)):
+        for side, is_init in ((left, left_init), (right, right_init)):
             if not is_init and side != prev_resolvent:
                 return CheckResult(
                     False, i, "derived antecedent is not the previous resolvent"
@@ -356,7 +362,7 @@ def normalize_refutation(proof: ResolutionProof) -> ResolutionProof:
     """
     chk = check_res_refutation(proof)
     if not chk:
-        raise ValueError(f"invalid refutation at step {chk.step}: {chk.reason}")
+        raise ValueError(chk.message("invalid refutation"))
     out: list[ResolutionStep] = []
     alias: dict[int, int] = {}
     by_clause: dict[tuple[int, ...], int] = {}
@@ -506,21 +512,13 @@ def _fused_support(proof: ResolutionProof) -> list[tuple[int, ...]]:
     docs/DECISIONS.md).
     """
     steps = proof.steps
-    uses: dict[int, int] = {}
-    for st in steps:
-        if not st.is_initial:
-            uses[st.left] = uses.get(st.left, 0) + 1
-            uses[st.right] = uses.get(st.right, 0) + 1
     derived = [i for i, st in enumerate(steps) if not st.is_initial]
-    next_derived: dict[int, int] = {}
-    for a, b in zip(derived, derived[1:]):
-        next_derived[a] = b
+    uses = Counter(chain.from_iterable((steps[i].left, steps[i].right) for i in derived))
     out = []
-    for i in derived:
+    for i, j in zip(derived, [*derived[1:], None]):
         if steps[i].clause == ():
             continue
-        j = next_derived.get(i)
-        if j is not None and steps[j].left == i and uses.get(i, 0) == 1:
+        if j is not None and steps[j].left == i and uses[i] == 1:
             continue  # chain-internal
         out.append(steps[i].clause)
     return out
@@ -759,6 +757,8 @@ def parse_proof(text: str, over: CnfFormula) -> ResolutionProof:
                     raise ValueError("missing terminator")
                 steps.append(ResolutionStep(canonical_literals(body[:-1])))
             elif parts[0] == "r":
+                if len(parts) < 4:
+                    raise ValueError("resolvent line needs left, right and pivot")
                 left, right, pivot = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
                 body = [int(t) for t in parts[4:]]
                 if not body or body[-1] != 0:
@@ -772,6 +772,6 @@ def parse_proof(text: str, over: CnfFormula) -> ResolutionProof:
                 )
             else:
                 raise ValueError(f"unknown step kind {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return ResolutionProof(over, tuple(steps))

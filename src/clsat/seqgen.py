@@ -29,18 +29,14 @@ def peb_seq_1uip(graph: PebblingGraph) -> BranchingSequence:
     validate_pebbling_graph(graph)
     labels = {n.id: n.label for n in graph.nodes}
     heights = graph.heights()
-    # sort every predecessor list once: increasing height, ties larger id first
-    preds = {
-        n.id: sorted(n.preds, key=lambda p: (heights[p], -p)) for n in graph.nodes
-    }
     unit_nodes = {n.id for n in graph.nodes if len(n.label) == 1}
-    sources = graph.sources()
-    for nid in list(preds):
-        kept = [p for p in preds[nid] if p not in unit_nodes]
-        if kept != preds[nid]:
-            preds[nid] = kept
-            if not kept:
-                sources.add(nid)
+    # each predecessor list once: unit nodes dropped, then increasing height,
+    # ties larger id first; a node left with none counts as a source
+    preds = {
+        n.id: sorted((p for p in n.preds if p not in unit_nodes), key=lambda p: (heights[p], -p))
+        for n in graph.nodes
+    }
+    sources = {v for v, ps in preds.items() if not ps}
 
     out: list[int] = []
     visited: set[int] = set()

@@ -149,6 +149,28 @@ def test_proof_commands_reject_invalid_refutation(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("verify-proof", "invalid: proof does not end in the empty clause\n"),
+        ("pt-extend", "error: invalid refutation: proof does not end in the empty clause\n"),
+        ("res-replay", "error: invalid refutation: proof does not end in the empty clause\n"),
+    ],
+)
+def test_proof_commands_name_no_step_when_the_failure_has_none(
+    tmp_path, capsys, command, message
+):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    proof = tmp_path / "f.res"
+    proof.write_text("i 1 0\n")  # checks, but does not end in ()
+    out = tmp_path / "pt.cnf"
+    args = [command, str(cnf), str(proof)] + (["-o", str(out)] if command == "pt-extend" else [])
+    assert run(args) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_pt_extend_and_replay(tmp_path, capsys):
     cnf = tmp_path / "g.cnf"
     graph = tmp_path / "g.peb"

@@ -16,6 +16,7 @@ from clsat import (
     pebbling_to_cnf,
     write_pebbling_graph,
 )
+from clsat.generators import validate_pebbling_graph
 from conftest import brute_force_satisfiable
 
 
@@ -90,6 +91,19 @@ def test_random_pebbling_deterministic_and_valid():
     for n in a.nodes:
         assert len(n.preds) <= 5
         assert 1 <= len(n.label) <= 6
+
+
+def test_random_pebbling_meets_the_graph_rules():
+    # gen_random_pebbling returns its graph unchecked, so its construction
+    # must meet every rule validate_pebbling_graph checks; the sweep covers
+    # the default shape (RANDPEB_DEFAULTS) and perfbench's, down to one node
+    for nodes in range(1, 41):
+        for max_indegree in range(2, 6):
+            for max_label in range(1, 7):
+                for seed in range(5):
+                    g = gen_random_pebbling(nodes, max_indegree, max_label, seed)
+                    validate_pebbling_graph(g)
+                    assert all(list(n.preds) == sorted(n.preds) for n in g.nodes)
 
 
 def test_random_pebbling_minimal_bounds():
@@ -209,6 +223,7 @@ def test_pebbling_graph_file_roundtrip():
         ("p peb 1\nn 1 1 |\nt 1\nt 1\n", "line 4: duplicate target line"),
         ("p peb\nn 1 1 |\nt 1\n", "line 1: malformed header"),
         ("p foo 1\nn 1 1 |\nt 1\n", "line 1: malformed header"),
+        ("p peb -1\nn 1 1 |\nt 1\n", "^line 1: malformed header$"),
         ("p peb 1\nn 1 1\nt 1\n", "line 2: node line missing '\\|'"),
         ("p peb 1\nn 1 1 |\nq 1\n", "line 3: unrecognized line 'q 1'"),
         ("p peb 1\nn 1 1 |\n", "^line 1: missing header or target line$"),

@@ -30,7 +30,7 @@ from clsat import (
     write_proof,
 )
 from clsat.conflict import LearnedClauseRecord, TrivialDerivation
-from clsat.proofs import derivation_to_proof, resolve_on
+from clsat.proofs import _fused_support, derivation_to_proof, resolve_on
 from conftest import random_3cnf
 
 
@@ -547,6 +547,46 @@ def test_res_to_clmm_sequence_chain_fusion():
     assert report.restarts_used == 0
 
 
+# refutations of (1 2) (-1 2) (1 -2) (-1 -2), as (steps, fused support); an
+# initial step is a clause, a resolvent is (clause, left, right, pivot)
+FUSED_SUPPORT_CASES = {
+    # steps 2 and 6 are each the next resolvent's left antecedent and used
+    # nowhere else, so they are chain-internal
+    "chain-internal": (
+        [(1, 2), (-1, 2), ((2,), 0, 1, 1), (1, -2), ((1,), 2, 3, 2),
+         (-1, -2), ((-1,), 1, 5, 2), ((), 6, 4, 1)],
+        [(1,)],
+    ),
+    # step 2 is the next resolvent's left antecedent but step 6 uses it too
+    "used elsewhere": (
+        [(1, 2), (-1, 2), ((2,), 0, 1, 1), (1, -2), ((1,), 2, 3, 2),
+         (-1, -2), ((-1,), 2, 5, 2), ((), 4, 6, 1)],
+        [(2,), (1,), (-1,)],
+    ),
+    # step 5 feeds () only as its right antecedent
+    "right antecedent": (
+        [(1, 2), (-1, 2), ((2,), 0, 1, 1), (1, -2), (-1, -2), ((-2,), 3, 4, 1),
+         ((), 2, 5, 2)],
+        [(2,), (-2,)],
+    ),
+    # not a refutation: the last resolvent has no next one and is kept
+    "no empty clause": ([(1, 2), (-1, 2), ((2,), 0, 1, 1)], [(2,)]),
+}
+
+
+@pytest.mark.parametrize("case", FUSED_SUPPORT_CASES)
+def test_fused_support_drops_only_chain_internal_steps(case):
+    rows, support = FUSED_SUPPORT_CASES[case]
+    steps = tuple(
+        ResolutionStep(*row) if isinstance(row[0], tuple) else ResolutionStep(row)
+        for row in rows
+    )
+    proof = ResolutionProof(CnfFormula(2, [(1, 2), (-1, 2), (1, -2), (-1, -2)]), steps)
+    if steps[-1].clause == ():
+        assert check_res_refutation(proof)
+    assert _fused_support(proof) == support  # never the empty clause
+
+
 def test_replay_grid3_learns_support_in_order():
     g = gen_grid(3)
     f = pebbling_to_cnf(g)
@@ -973,4 +1013,13 @@ def test_proof_text_roundtrip():
 )
 def test_parse_proof_rejects_missing_terminator(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_proof(text, CnfFormula(1, [(1,), (-1,)]))
+
+
+@pytest.mark.parametrize("text", ["r 1 2\n", "i 1 0\ni -1 0\n# c\nr\n"])
+def test_parse_proof_rejects_a_short_resolvent_line(text):
+    lineno = text.count("\n")
+    with pytest.raises(
+        ValueError, match=f"^line {lineno}: resolvent line needs left, right and pivot$"
+    ):
         parse_proof(text, CnfFormula(1, [(1,), (-1,)]))
