@@ -124,6 +124,9 @@ def _print_result(result) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.cl_minus_minus and not args.sequence:
+        # CL-- changes only how sequence entries are read
+        raise ValueError("--cl-minus-minus needs --sequence")
     formula = parse_dimacs(_read(args.cnf))
     sequence = parse_sequence(_read(args.sequence)) if args.sequence else None
     graphs = []

@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 from . import conflict as _ca
 from .conflict import ConflictGraph, LearnedClauseRecord, TrivialDerivation
-from .formula import CnfFormula
+from .formula import CnfFormula, content_lines
 
 __all__ = [
     "RESTART",
@@ -92,10 +92,7 @@ def parse_sequence(text: str) -> BranchingSequence:
     """Parse the .seq format: one entry per line, a signed integer for a
     literal, "R" for a restart marker, "#" for comments."""
     entries: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text, "#"):
         if line == "R":
             entries.append(RESTART)
         elif re.fullmatch(r"-?\d+", line):
@@ -354,8 +351,8 @@ class Solver:
     def backjump(self, level: int) -> None:
         """Unwind the trail to the given decision level (no-op if already
         there or lower), resetting values only (`TrailState.reason_literals`).
-        Learned clauses are untouched. While the fallback heap exists, both
-        literals of every unassigned variable go back in with their activity."""
+        Learned clauses are untouched. `_low_free` stays current, and while the
+        fallback heap exists both literals of each freed variable go back in."""
         trail_lim = self.trail_lim
         if level >= len(trail_lim):
             return
@@ -363,21 +360,17 @@ class Solver:
         trail = self.trail
         values = self.values
         heap = self._heap
-        if heap is None:
-            low = self._low_free
-            for lit in trail[keep:]:
-                v = lit if lit > 0 else -lit
-                values[v] = 0
-                if v < low:
-                    low = v
-            self._low_free = low
-        else:
-            act = self.activity
-            for lit in trail[keep:]:
-                v = lit if lit > 0 else -lit
-                values[v] = 0
+        act = self.activity
+        low = self._low_free
+        for lit in trail[keep:]:
+            v = lit if lit > 0 else -lit
+            values[v] = 0
+            if v < low:
+                low = v
+            if heap is not None:
                 heappush(heap, (-act[2 * v + 1], v, 0))
                 heappush(heap, (-act[2 * v], v, 1))
+        self._low_free = low
         del trail[keep:]
         del trail_lim[level:]
         del self._dpll_levels[level:]
@@ -525,13 +518,17 @@ class Solver:
             if self.lit_value(ordered[0]) == 0:
                 self._enqueue(ordered[0], ci)
             return bt
-        flip_of = self.trail[self.trail_lim[lvl - 1]]
-        self.backjump(lvl - 1)
         self._add_clause(clause, ordered)
-        # every decision at the conflict level is unassigned by the backjump
-        assert self.values[abs(flip_of)] == 0
-        self._decide(-flip_of)
+        self._flip(lvl - 1)
         return lvl - 1
+
+    def _flip(self, level: int) -> None:
+        """Backjump to `level` and decide the negated branch of level + 1."""
+        lit = self.trail[self.trail_lim[level]]
+        self.backjump(level)
+        # every decision above `level` is unassigned by the backjump
+        assert self.values[abs(lit)] == 0
+        self._decide(-lit)
 
     def _final_record(self, confl: int) -> None:
         if not self.cfg.log_proof:
@@ -558,9 +555,7 @@ class Solver:
             k -= 1
         if k < 0:
             return False
-        lit = self.trail[self.trail_lim[k]]  # the level's branch opens it
-        self.backjump(k)
-        self._decide(-lit)
+        self._flip(k)
         dpll_levels.append(True)
         return True
 
@@ -568,9 +563,8 @@ class Solver:
     def _result(self, status: str) -> SolveResult:
         self._finished = True
         model = self.model() if status == "SAT" else None
-        records = tuple(self.records) if self.cfg.log_proof else None
-        if self.cfg.learning == "none":
-            records = None
+        logged = self.cfg.log_proof and self.cfg.learning != "none"
+        records = tuple(self.records) if logged else None
         return SolveResult(status=status, model=model, records=records, stats=self.stats)
 
     def solve(self) -> SolveResult:

@@ -7,6 +7,7 @@ a variable absent from the mapping is unassigned.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -186,6 +187,21 @@ def restrict_simplify(formula: CnfFormula, rho: Mapping[int, bool]) -> CnfFormul
     return CnfFormula(formula.num_vars, out)
 
 
+def content_lines(text: str, comment: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of every line that is neither blank nor
+    a comment. A content line holding `_` or a non-ASCII character raises
+    DimacsError: `int()` reads `1_0` as 10 and any Unicode digit as ASCII,
+    and `str.split()` splits on any Unicode space."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment):
+            continue
+        if "_" in line or not line.isascii():
+            bad = next(ch for ch in line if ch == "_" or not ch.isascii())
+            raise DimacsError(f"character {bad!r} is not allowed", lineno)
+        yield lineno, line
+
+
 def parse_dimacs(text: str | bytes) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.
 
@@ -199,20 +215,14 @@ def parse_dimacs(text: str | bytes) -> CnfFormula:
     clauses: list[Clause] = []
     pending: list[int] = []
     pending_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in content_lines(text, "c"):
         if line.startswith("p"):
             if num_vars >= 0:
                 raise DimacsError("duplicate header", lineno)
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f'malformed header: "{line}"', lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f'malformed header: "{line}"', lineno) from None
+            if len(parts) == 4 and parts[1] == "cnf":
+                with suppress(ValueError):
+                    num_vars, num_clauses = int(parts[2]), int(parts[3])
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(f'malformed header: "{line}"', lineno)
             header_line = lineno

@@ -6,7 +6,7 @@ import random
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .formula import Clause, CnfFormula
+from .formula import Clause, CnfFormula, content_lines
 
 
 class PebNode(NamedTuple):
@@ -273,10 +273,7 @@ def parse_pebbling_graph(text: str) -> PebblingGraph:
     node_line: dict[int, int] = {}
     target = None
     header_line = target_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text, "#"):
         parts = line.split()
         try:
             if parts[0] == "p":

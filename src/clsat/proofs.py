@@ -21,7 +21,7 @@ from .engine import (
     SolverConfig,
     solve,
 )
-from .formula import Clause, CnfFormula, canonical_literals
+from .formula import Clause, CnfFormula, canonical_literals, content_lines
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -212,17 +212,16 @@ def check_trivial(proof: ResolutionProof) -> CheckResult:
         if st.pivot in pivots:
             return CheckResult(False, i, "duplicate pivot")
         pivots.add(st.pivot)
-        left_init = steps[left].left is None
-        right_init = steps[right].left is None
-        if not (left_init or right_init):
+        if steps[left].left is None:
+            derived = None if steps[right].left is None else right
+        elif steps[right].left is None:
+            derived = left
+        else:
             return CheckResult(False, i, "both antecedents are derived")
-        for side, is_init in ((left, left_init), (right, right_init)):
-            if not is_init and side != prev_resolvent:
-                return CheckResult(
-                    False, i, "derived antecedent is not the previous resolvent"
-                )
-        if left_init and right_init and prev_resolvent is not None:
-            return CheckResult(False, i, "resolvent starts a second chain")
+        if derived != prev_resolvent:
+            if derived is None:
+                return CheckResult(False, i, "resolvent starts a second chain")
+            return CheckResult(False, i, "derived antecedent is not the previous resolvent")
         prev_resolvent = i
     return CheckResult(True)
 
@@ -308,25 +307,21 @@ def _lift(derivation, steps, index, known) -> None:
 
 def _prune(steps: Sequence[ResolutionStep], root: int) -> tuple[ResolutionStep, ...]:
     """The steps `root` depends on, in their order, with antecedent indices
-    renumbered to match."""
-    used: set[int] = set()
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if i in used:
-            continue
-        used.add(i)
+    renumbered to match. Every step's antecedents precede it, so one
+    backward sweep marks them all."""
+    used = [False] * root + [True]
+    for i in range(root, -1, -1):
         st = steps[i]
-        if st.left is not None:
-            stack.extend((st.left, st.right))
-    keep = sorted(used)
-    remap = {old: new for new, old in enumerate(keep)}
+        if used[i] and st.left is not None:
+            used[st.left] = used[st.right] = True
+    remap: dict[int, int] = {}
     out = []
-    for old in keep:
-        st = steps[old]
-        if st.left is not None:
-            st = ResolutionStep(st.clause, remap[st.left], remap[st.right], st.pivot)
-        out.append(st)
+    for old, st in enumerate(steps[: root + 1]):
+        if used[old]:
+            if st.left is not None:
+                st = ResolutionStep(st.clause, remap[st.left], remap[st.right], st.pivot)
+            remap[old] = len(out)
+            out.append(st)
     return tuple(out)
 
 
@@ -745,10 +740,7 @@ def write_proof(proof: ResolutionProof) -> str:
 
 def parse_proof(text: str, over: CnfFormula) -> ResolutionProof:
     steps: list[ResolutionStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text, "#"):
         parts = line.split()
         try:
             if parts[0] == "i":

@@ -104,6 +104,17 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert run(["solve", str(cnf3), "--decision-budget", "0"]) == 30
 
 
+def test_solve_cl_minus_minus_needs_a_sequence(tmp_path, capsys):
+    # CL-- changes only how sequence entries are read: without a sequence
+    # the option would do nothing
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    assert run(["solve", str(cnf), "--cl-minus-minus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cl-minus-minus needs --sequence\n"
+
+
 def test_solve_with_sequence_and_proof(tmp_path, capsys):
     cnf = tmp_path / "g.cnf"
     graph = tmp_path / "g.peb"

@@ -106,6 +106,26 @@ def test_parse_dimacs_rejects_with_line(text, line, message):
     assert str(e.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text, line, char",
+    [
+        ("p cnf 10 1\n1_0 0\n", 2, "_"),
+        ("p cnf 1_0 1\n1 0\n", 1, "_"),
+        ("c x\np cnf 2 1\n\u0661 0\n", 3, "\u0661"),
+        ("p cnf 2 1\n1\u00a02 0\n", 2, "\u00a0"),
+    ],
+)
+def test_parse_dimacs_reads_only_ascii_without_underscores(text, line, char):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit one as 1, and
+    # str.split() splits on a no-break space
+    with pytest.raises(DimacsError) as e:
+        parse_dimacs(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: character {char!r} is not allowed"
+    # comment lines are skipped before the check, and a plus sign still reads
+    assert parse_dimacs("c \u00e9\np cnf 2 1\n+1 0\n").clauses == (Clause([1]),)
+
+
 def test_parse_dimacs_comments_multiline_and_bytes():
     text = "c a comment\np cnf 3 2\nc another\n1 2\n3 0\n-1 0\n"
     f = parse_dimacs(text.encode("ascii"))

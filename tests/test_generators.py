@@ -242,6 +242,18 @@ def test_pebbling_graph_parse_errors(text, message):
         parse_pebbling_graph(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p peb 1\nn 1 1_0 |\nt 1\n", "line 2: character '_' is not allowed"),
+        ("# \u00e9\np peb 1\nn 1 \u0661 |\nt 1\n", "line 3: character '\u0661' is not allowed"),
+    ],
+)
+def test_pebbling_graph_reads_only_ascii_without_underscores(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_pebbling_graph(text)
+
+
 def test_heights_recurrence():
     g = gen_random_pebbling(12, 4, 3, seed=8)
     h = g.heights()

@@ -1023,3 +1023,16 @@ def test_parse_proof_rejects_a_short_resolvent_line(text):
         ValueError, match=f"^line {lineno}: resolvent line needs left, right and pivot$"
     ):
         parse_proof(text, CnfFormula(1, [(1,), (-1,)]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("i 1_0 0\n", "line 1: character '_' is not allowed"),
+        ("i 1 0\ni -1 0\nr 1 2 1_0 0\n", "line 3: character '_' is not allowed"),
+        ("# \u00e9\ni \u0661 0\n", "line 2: character '\u0661' is not allowed"),
+    ],
+)
+def test_parse_proof_reads_only_ascii_without_underscores(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_proof(text, CnfFormula(10, [(1,), (-1,), (10,)]))

@@ -405,6 +405,13 @@ def test_sequence_file_roundtrip():
         parse_sequence("0\n")
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "-\u0661"])
+def test_sequence_file_reads_only_ascii_digits(digit):
+    # a regex \d matches every Unicode digit, and int() reads it as ASCII
+    with pytest.raises(ValueError, match="^line 3: character '\u0661' is not allowed$"):
+        parse_sequence(f"# \u00e9\n1\n{digit}\n")
+
+
 def test_sequence_len_counts_literals_only():
     seq = BranchingSequence((1, RESTART, 2, RESTART))
     assert len(seq) == 2
@@ -568,7 +575,13 @@ def test_differential_sweep():
             chk = UnitPropagationChecker(f.num_vars)
             for c in f.clauses:
                 chk.add_clause(c.literals)
+            known = f.clause_set()
             for rec in r.records:
+                # every clause the derivation uses is an input clause or
+                # one learned before it, on every run, not only refutations
+                d = rec.derivation
+                assert known.issuperset((d.base, *(ant for ant, _ in d.steps))), (k, cfg, rec)
+                known.add(rec.clause)
                 assert check_trivial(derivation_to_proof(rec.derivation))
                 assert chk.conflicts_when_all_false(rec.clause), (k, cfg, rec)
                 chk.add_clause(rec.clause)
